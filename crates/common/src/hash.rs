@@ -26,26 +26,29 @@ impl Default for StableHasher {
 
 impl StableHasher {
     /// Create a hasher with the FNV offset basis.
-    pub fn new() -> Self {
+    pub const fn new() -> Self {
         StableHasher { state: FNV_OFFSET }
     }
 
     /// Feed raw bytes.
-    pub fn write_bytes(&mut self, bytes: &[u8]) -> &mut Self {
-        for &b in bytes {
-            self.state ^= b as u64;
+    pub const fn write_bytes(&mut self, bytes: &[u8]) -> &mut Self {
+        // `while`, not `for`: callers build lookup tables at compile time.
+        let mut i = 0;
+        while i < bytes.len() {
+            self.state ^= bytes[i] as u64;
             self.state = self.state.wrapping_mul(FNV_PRIME);
+            i += 1;
         }
         self
     }
 
     /// Feed a `u64` (little-endian byte order).
-    pub fn write_u64(&mut self, v: u64) -> &mut Self {
+    pub const fn write_u64(&mut self, v: u64) -> &mut Self {
         self.write_bytes(&v.to_le_bytes())
     }
 
     /// Feed a string.
-    pub fn write_str(&mut self, s: &str) -> &mut Self {
+    pub const fn write_str(&mut self, s: &str) -> &mut Self {
         self.write_bytes(s.as_bytes());
         // Separate fields so that ("ab", "c") differs from ("a", "bc").
         self.write_bytes(&[0xff]);
@@ -53,13 +56,18 @@ impl StableHasher {
     }
 
     /// Finish and return the 64-bit hash.
-    pub fn finish(&self) -> u64 {
-        // One final avalanche (splitmix64 finalizer) so that short inputs spread well.
-        let mut z = self.state;
-        z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
-        z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
-        z ^ (z >> 31)
+    pub const fn finish(&self) -> u64 {
+        // One final avalanche so that short inputs spread well.
+        avalanche(self.state)
     }
+}
+
+/// The splitmix64 finalizer: a bijection on `u64` under which every input bit
+/// flips every output bit with probability about one half.
+pub const fn avalanche(mut z: u64) -> u64 {
+    z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
+    z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
+    z ^ (z >> 31)
 }
 
 /// Hash a string to a stable 64-bit value.

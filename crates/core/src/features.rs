@@ -92,18 +92,26 @@ fn safe_log(x: f64) -> f64 {
 /// it out of the per-candidate loop via [`input_encoding`] +
 /// [`extract_features_with_encoding`].
 pub fn input_encoding(meta: &JobMeta) -> f64 {
-    encode_inputs(&meta.normalized_inputs)
+    let inputs = &meta.normalized_inputs;
+    encoding_from_order_hash(inputs, input_order_hash(inputs))
 }
 
-fn encode_inputs(inputs: &[String]) -> f64 {
-    if inputs.is_empty() {
-        return 0.0;
-    }
+/// Hash of the normalised input names in the order the job lists them (the
+/// signatures hash them as a set; this is the one place order counts).
+pub(crate) fn input_order_hash(inputs: &[String]) -> u64 {
     let mut h = hash::StableHasher::new();
     for name in inputs {
         h.write_str(name);
     }
-    (h.finish() % 10_000) as f64 / 10_000.0
+    h.finish()
+}
+
+/// [`input_encoding`] from an [`input_order_hash`] already in hand.
+pub(crate) fn encoding_from_order_hash(inputs: &[String], order_hash: u64) -> f64 {
+    if inputs.is_empty() {
+        return 0.0;
+    }
+    (order_hash % 10_000) as f64 / 10_000.0
 }
 
 /// Extract the feature vector for one operator at a candidate partition count.

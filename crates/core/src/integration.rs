@@ -18,12 +18,13 @@ use std::collections::{BTreeMap, HashMap};
 use std::sync::{Arc, Mutex, OnceLock};
 
 use cleo_common::concurrency::StripedCounter;
-use cleo_common::hash::StableHasher;
+use cleo_common::hash::avalanche;
 use cleo_engine::physical::{JobMeta, PhysicalNode};
 use cleo_optimizer::{CostModel, SweepSpec};
 
+use crate::features::{encoding_from_order_hash, input_order_hash};
 use crate::models::{CleoPredictor, PredictScratch};
-use crate::signature::{signature_set, SignatureSet};
+use crate::signature::{input_template_hash, signature_set_with_template, SignatureSet};
 
 thread_local! {
     /// Per-thread inference scratch: every optimizer thread reuses one flat
@@ -32,6 +33,99 @@ thread_local! {
     /// heap allocations.  Thread-local (rather than a field) keeps
     /// [`LearnedCostModel`] `Sync` without a contended lock on the hot path.
     static SWEEP_SCRATCH: RefCell<PredictScratch> = RefCell::new(PredictScratch::new());
+
+    /// What the last job costed on this thread contributes to its cache keys
+    /// and feature rows.  An optimization makes tens of cost calls for one job,
+    /// so all but the first find their job here.
+    static LAST_JOB: RefCell<Option<JobKey>> = const { RefCell::new(None) };
+}
+
+/// Separator written after each input name in [`JobKey::inputs`].  UTF-8 never
+/// contains this byte, so the flattened list identifies the list of names.
+const NAME_END: u8 = 0xff;
+
+/// The part of a sweep's cache key and feature rows that depends on the job
+/// alone — derived once per job instead of once per cost call.
+#[derive(Debug)]
+struct JobKey {
+    /// The job's `normalized_inputs`, each followed by [`NAME_END`].  A later
+    /// call belongs to this job when its inputs and parameters have the same
+    /// *content*: addresses say nothing, a `JobMeta` can be dropped and another
+    /// built in its place.  One flat buffer, so moving between jobs reuses its
+    /// capacity instead of allocating a string per name.
+    inputs: Vec<u8>,
+    /// Bit patterns of `params[0]` and `params[1]` (0.0 when absent), exactly
+    /// the two values the feature rows read.
+    params: [u64; 2],
+    words: JobWords,
+}
+
+/// What a cost call needs from its job.
+#[derive(Debug, Clone, Copy)]
+struct JobWords {
+    /// [`input_template_hash`], for the two signatures that use it.
+    input_template: u64,
+    /// The `IN` feature ([`crate::features::input_encoding`]).
+    input_encoding: f64,
+    /// The job's parameters and raw-order input hash, mixed: the state every
+    /// [`sweep_key`] of this job starts from.
+    key_seed: u64,
+}
+
+fn param_bits(meta: &JobMeta) -> [u64; 2] {
+    [0, 1].map(|i| meta.params.get(i).copied().unwrap_or(0.0).to_bits())
+}
+
+impl JobKey {
+    fn matches(&self, meta: &JobMeta) -> bool {
+        if self.params != param_bits(meta) {
+            return false;
+        }
+        let mut rest = self.inputs.as_slice();
+        for name in &meta.normalized_inputs {
+            match rest.split_at_checked(name.len()) {
+                Some((head, [NAME_END, tail @ ..])) if head == name.as_bytes() => rest = tail,
+                _ => return false,
+            }
+        }
+        rest.is_empty()
+    }
+
+    /// Derive the key of `meta`'s job, reusing `buffer` for the flattened names.
+    fn derive(meta: &JobMeta, mut buffer: Vec<u8>) -> JobKey {
+        let inputs = &meta.normalized_inputs;
+        buffer.clear();
+        for name in inputs {
+            buffer.extend_from_slice(name.as_bytes());
+            buffer.push(NAME_END);
+        }
+        let params = param_bits(meta);
+        // The signatures hash the *sorted, deduplicated* input set, but the IN
+        // feature hashes the inputs in raw order — key on that hash too, or two
+        // jobs differing only in input order would share an entry.
+        let order_hash = input_order_hash(inputs);
+        JobKey {
+            inputs: buffer,
+            params,
+            words: JobWords {
+                input_template: input_template_hash(meta),
+                input_encoding: encoding_from_order_hash(inputs, order_hash),
+                key_seed: mix(mix(mix(0, params[0]), params[1]), order_hash),
+            },
+        }
+    }
+}
+
+/// The [`JobWords`] of `meta`'s job: read from [`LAST_JOB`] when the previous
+/// call on this thread was for the same job, derived (and remembered) otherwise.
+fn job_words(meta: &JobMeta) -> JobWords {
+    LAST_JOB.with_borrow_mut(|last| match last {
+        Some(job) if job.matches(meta) => job.words,
+        _ => {
+            let buffer = last.take().map(|job| job.inputs).unwrap_or_default();
+            last.insert(JobKey::derive(meta, buffer)).words
+        }
+    })
 }
 
 /// Floor applied to every cost returned to the optimizer, so that downstream
@@ -84,25 +178,50 @@ impl CacheStats {
     }
 }
 
+/// The cached costs of one candidate sweep.  A one-candidate sweep — every
+/// call the serve path makes — keeps its cost inline, so a hit on it reads no
+/// heap and touches no reference count.
+#[derive(Debug, Clone)]
+enum CachedCosts {
+    One(f64),
+    Many(Arc<[f64]>),
+}
+
+impl CachedCosts {
+    fn collect(mut costs: impl ExactSizeIterator<Item = f64>) -> CachedCosts {
+        match costs.len() {
+            1 => CachedCosts::One(costs.next().expect("an iterator of length 1")),
+            _ => CachedCosts::Many(costs.collect()),
+        }
+    }
+
+    fn as_slice(&self) -> &[f64] {
+        match self {
+            CachedCosts::One(cost) => std::slice::from_ref(cost),
+            CachedCosts::Many(costs) => costs,
+        }
+    }
+}
+
 /// A sharded, bounded memo of combined predictions for whole candidate sweeps,
-/// keyed by `hash(signature set, root statistics, job params, candidate counts)`.
+/// keyed by [`sweep_key`].
 ///
-/// The feature rows of a sweep are a pure function of those inputs — the four
+/// The feature rows of a sweep are a pure function of the key's inputs — the four
 /// signatures pin the exact subtree template (and with it `node_count`/`depth`)
 /// and the normalised input set, while the root's estimated statistics and the
 /// job parameters contribute every remaining feature — so memoisation is exact:
 /// a hit returns the bit-identical values the predictor would have computed.
 /// Caching at sweep granularity is what makes hits cheap: one lookup replaces a
-/// per-candidate feature extraction (each an O(subtree) walk) *and* the model
-/// evaluations behind it.  When a shard outgrows its slice of the capacity it is
+/// per-candidate feature extraction *and* the model evaluations behind it.
+/// When a shard outgrows its slice of the capacity it is
 /// cleared wholesale — an epoch-style reset that bounds memory without per-entry
 /// bookkeeping on the serving path.
 #[derive(Debug)]
 struct PredictionCache {
-    /// Entries are shared slices: a hit clones one `Arc` inside the critical
-    /// section instead of allocating and copying a `Vec` under the lock, so
-    /// the per-shard mutexes are held for nanoseconds even on hot sweeps.
-    shards: Vec<Mutex<HashMap<u64, Arc<[f64]>>>>,
+    /// A hit copies an `f64` or clones one `Arc` inside the critical section
+    /// instead of copying a `Vec` under the lock, so the per-shard mutexes are
+    /// held for nanoseconds even on hot sweeps.
+    shards: Vec<Mutex<HashMap<u64, CachedCosts>>>,
     per_shard_capacity: usize,
     /// Arc-held so a metrics registry can adopt the very counters the cache
     /// increments (single source of truth — see
@@ -124,7 +243,7 @@ impl PredictionCache {
         }
     }
 
-    fn shard(&self, key: u64) -> &Mutex<HashMap<u64, Arc<[f64]>>> {
+    fn shard(&self, key: u64) -> &Mutex<HashMap<u64, CachedCosts>> {
         // Multiplicative mix so every key bit influences the shard pick (the
         // shard count is a power of two, so a plain mask would only ever read
         // the low bits).
@@ -132,7 +251,7 @@ impl PredictionCache {
         &self.shards[(mixed >> 32) as usize & (self.shards.len() - 1)]
     }
 
-    fn get(&self, key: u64) -> Option<Arc<[f64]>> {
+    fn get(&self, key: u64) -> Option<CachedCosts> {
         let found = self
             .shard(key)
             .lock()
@@ -146,7 +265,7 @@ impl PredictionCache {
         found
     }
 
-    fn insert(&self, key: u64, costs: Arc<[f64]>) {
+    fn insert(&self, key: u64, costs: CachedCosts) {
         let mut shard = self.shard(key).lock().expect("cache shard poisoned");
         if shard.len() >= self.per_shard_capacity {
             shard.clear();
@@ -170,42 +289,46 @@ impl PredictionCache {
     }
 }
 
-/// Stable cache key over everything one candidate sweep's cached costs depend
-/// on (see [`PredictionCache`]): the feature-row inputs *plus* `model_salt`,
-/// the identity hash of the per-signature models serving this signature set
-/// ([`CleoPredictor::signature_salt`]).  The salt is what makes the cache safe
-/// to share across delta publishes: a delta that refits a signature changes its
-/// salt, so the successor model misses and recomputes, while unchanged
-/// signatures keep hitting the incumbent's warm entries.
-fn cache_key(
+/// One step of [`sweep_key`]: fold a word into the state.  For a fixed state it
+/// is a bijection of the word (and the reverse), so two keys that differ in one
+/// word differ.  The keys never leave the process, so nothing depends on the
+/// values; the signatures keep the byte-wise, stable hash.
+#[inline]
+fn mix(state: u64, word: u64) -> u64 {
+    let x = (state ^ word).wrapping_mul(0x9E37_79B9_7F4A_7C15);
+    x ^ (x >> 32)
+}
+
+/// Cache key over everything one candidate sweep's cached costs depend on (see
+/// [`PredictionCache`]): the job's part ([`JobWords::key_seed`]), the operator's
+/// signatures and statistics, the candidate partition counts and how many there
+/// are, *plus* `model_salt`, the identity hash of the per-signature models
+/// serving this signature set ([`CleoPredictor::signature_salt`]).  The salt is
+/// what makes the cache safe to share across delta publishes: a delta that
+/// refits a signature changes its salt, so the successor model misses and
+/// recomputes, while unchanged signatures keep hitting the incumbent's warm
+/// entries.
+fn sweep_key(
+    key_seed: u64,
     model_salt: u64,
     signatures: &SignatureSet,
     node: &PhysicalNode,
-    meta: &JobMeta,
     partitions: &[usize],
 ) -> u64 {
-    let mut h = StableHasher::new();
-    h.write_u64(model_salt);
-    h.write_u64(signatures.op_subgraph)
-        .write_u64(signatures.op_subgraph_approx)
-        .write_u64(signatures.op_input)
-        .write_u64(signatures.operator)
-        .write_u64(node.est.input_cardinality.to_bits())
-        .write_u64(node.est.base_cardinality.to_bits())
-        .write_u64(node.est.output_cardinality.to_bits())
-        .write_u64(node.est.avg_row_bytes.to_bits())
-        .write_u64(meta.params.first().copied().unwrap_or(0.0).to_bits())
-        .write_u64(meta.params.get(1).copied().unwrap_or(0.0).to_bits());
-    // The signatures hash the *sorted, deduplicated* input set, but the IN
-    // feature hashes the inputs in raw order — key on the raw list too, or two
-    // jobs differing only in input order would share an entry.
-    for input in &meta.normalized_inputs {
-        h.write_str(input);
-    }
-    for &p in partitions {
-        h.write_u64(p as u64);
-    }
-    h.finish()
+    let fixed = [
+        model_salt,
+        signatures.op_subgraph,
+        signatures.op_subgraph_approx,
+        signatures.op_input,
+        signatures.operator,
+        node.est.input_cardinality.to_bits(),
+        node.est.base_cardinality.to_bits(),
+        node.est.output_cardinality.to_bits(),
+        node.est.avg_row_bytes.to_bits(),
+        partitions.len() as u64,
+    ];
+    let state = fixed.into_iter().fold(key_seed, mix);
+    avalanche(partitions.iter().fold(state, |h, &p| mix(h, p as u64)))
 }
 
 /// The learned cost model plugged into the optimizer.
@@ -222,7 +345,7 @@ pub struct LearnedCostModel {
     /// Signature-keyed memo of combined predictions (`None` = caching disabled).
     /// Behind an [`Arc`] so a delta-published successor model can keep serving
     /// the incumbent's warm entries (keys are salted with per-signature model
-    /// identity, so sharing is safe — see [`cache_key`]).
+    /// identity, so sharing is safe — see [`sweep_key`]).
     cache: Option<Arc<PredictionCache>>,
 }
 
@@ -324,51 +447,80 @@ impl LearnedCostModel {
     ///
     /// Feature rows are extracted straight into the thread-local scratch matrix
     /// and every model evaluation reuses the scratch's buffers; the only
-    /// allocation left per sweep is the returned cost vector itself (which the
-    /// cache retains on a miss).
+    /// allocation left per sweep is the returned cost slice (none for a single
+    /// candidate), which the cache retains on a miss.
     fn predict_sweep(
         &self,
         signatures: &SignatureSet,
         node: &PhysicalNode,
         partitions: &[usize],
         meta: &JobMeta,
-    ) -> Vec<f64> {
-        SWEEP_SCRATCH.with(|cell| {
-            let scratch = &mut *cell.borrow_mut();
-            scratch.fill_features(node, partitions, meta);
-            self.predictor
-                .predict_scratch(signatures, scratch)
-                .iter()
-                .map(|b| clamp_cost(b.combined))
-                .collect()
+        input_encoding: f64,
+    ) -> CachedCosts {
+        SWEEP_SCRATCH.with_borrow_mut(|scratch| {
+            scratch.reset_features();
+            scratch.append_features_with_encoding(node, partitions, meta, input_encoding);
+            let breakdowns = self.predictor.predict_scratch(signatures, scratch);
+            CachedCosts::collect(breakdowns.iter().map(|b| clamp_cost(b.combined)))
         })
     }
 
-    /// Cost a candidate sweep through the cache (one lookup per sweep).
-    fn cost_sweep(&self, node: &PhysicalNode, partitions: &[usize], meta: &JobMeta) -> Arc<[f64]> {
-        let signatures = signature_set(node, meta);
-        let Some(cache) = &self.cache else {
-            return self
-                .predict_sweep(&signatures, node, partitions, meta)
-                .into();
-        };
-        let salt = self.predictor.signature_salt(&signatures);
-        let key = cache_key(salt, &signatures, node, meta, partitions);
-        if let Some(costs) = cache.get(key) {
-            return costs;
+    /// Look one candidate sweep up in the cache (one lookup per sweep).  A hit
+    /// is: find the job in [`LAST_JOB`], hash the operator's four signatures
+    /// from what the node cached, resolve the salt, mix the key, one map lookup.
+    /// With caching disabled every sweep is a miss (and its key unused).
+    fn lookup(
+        &self,
+        node: &PhysicalNode,
+        partitions: &[usize],
+        meta: &JobMeta,
+    ) -> Result<CachedCosts, Miss> {
+        let job = job_words(meta);
+        let signatures = signature_set_with_template(node, job.input_template);
+        let mut key = 0;
+        if let Some(cache) = &self.cache {
+            let salt = self.predictor.signature_salt(&signatures);
+            key = sweep_key(job.key_seed, salt, &signatures, node, partitions);
+            if let Some(costs) = cache.get(key) {
+                return Ok(costs);
+            }
         }
-        let costs: Arc<[f64]> = self
-            .predict_sweep(&signatures, node, partitions, meta)
-            .into();
-        cache.insert(key, Arc::clone(&costs));
-        costs
+        Err(Miss {
+            signatures,
+            input_encoding: job.input_encoding,
+            key,
+        })
     }
+
+    /// Cost a candidate sweep through the cache.
+    fn cost_sweep(&self, node: &PhysicalNode, partitions: &[usize], meta: &JobMeta) -> CachedCosts {
+        self.lookup(node, partitions, meta).unwrap_or_else(|miss| {
+            let costs = self.predict_sweep(
+                &miss.signatures,
+                node,
+                partitions,
+                meta,
+                miss.input_encoding,
+            );
+            if let Some(cache) = &self.cache {
+                cache.insert(miss.key, costs.clone());
+            }
+            costs
+        })
+    }
+}
+
+/// What [`LearnedCostModel::lookup`] already derived for a sweep it did not find.
+struct Miss {
+    signatures: SignatureSet,
+    input_encoding: f64,
+    key: u64,
 }
 
 impl CostModel for LearnedCostModel {
     fn exclusive_cost(&self, node: &PhysicalNode, partitions: usize, meta: &JobMeta) -> f64 {
         self.invocations.add(1);
-        self.cost_sweep(node, &[partitions], meta)[0]
+        self.cost_sweep(node, &[partitions], meta).as_slice()[0]
     }
 
     fn exclusive_cost_batch(
@@ -381,7 +533,7 @@ impl CostModel for LearnedCostModel {
         // candidate set (the batched invocation path of resource-aware planning),
         // and on a repeat sweep of a recurring operator a single cache lookup.
         self.invocations.add(partitions.len() as u64);
-        self.cost_sweep(node, partitions, meta).to_vec()
+        self.cost_sweep(node, partitions, meta).as_slice().to_vec()
     }
 
     fn exclusive_cost_sweeps(&self, sweeps: &[SweepSpec]) -> Vec<Vec<f64>> {
@@ -398,42 +550,39 @@ impl CostModel for LearnedCostModel {
 
         let mut results: Vec<Option<Vec<f64>>> = (0..sweeps.len()).map(|_| None).collect();
         // Misses grouped by signature set; BTreeMap for deterministic group
-        // order.  Values are sweep indices (rows are appended in index order).
-        let mut groups: BTreeMap<SignatureSet, Vec<usize>> = BTreeMap::new();
-        let mut keys: Vec<u64> = vec![0; sweeps.len()];
+        // order.  Values are sweep indices (rows are appended in index order),
+        // each with its cache key and its job's input encoding.
+        let mut groups: BTreeMap<SignatureSet, Vec<(usize, u64, f64)>> = BTreeMap::new();
 
         for (i, sweep) in sweeps.iter().enumerate() {
-            let signatures = signature_set(sweep.node, sweep.meta);
-            if let Some(cache) = &self.cache {
-                let salt = self.predictor.signature_salt(&signatures);
-                let key = cache_key(salt, &signatures, sweep.node, sweep.meta, sweep.partitions);
-                keys[i] = key;
-                if let Some(costs) = cache.get(key) {
-                    results[i] = Some(costs.to_vec());
-                    continue;
-                }
+            match self.lookup(sweep.node, sweep.partitions, sweep.meta) {
+                Ok(costs) => results[i] = Some(costs.as_slice().to_vec()),
+                Err(miss) => groups.entry(miss.signatures).or_default().push((
+                    i,
+                    miss.key,
+                    miss.input_encoding,
+                )),
             }
-            groups.entry(signatures).or_default().push(i);
         }
 
         for (signatures, members) in &groups {
-            SWEEP_SCRATCH.with(|cell| {
-                let scratch = &mut *cell.borrow_mut();
+            SWEEP_SCRATCH.with_borrow_mut(|scratch| {
                 scratch.reset_features();
-                for &i in members {
-                    scratch.append_features(sweeps[i].node, sweeps[i].partitions, sweeps[i].meta);
+                for &(i, _, input_encoding) in members {
+                    let SweepSpec {
+                        node,
+                        partitions,
+                        meta,
+                    } = sweeps[i];
+                    scratch.append_features_with_encoding(node, partitions, meta, input_encoding);
                 }
-                let breakdowns = self.predictor.predict_scratch(signatures, scratch);
-                let mut offset = 0;
-                for &i in members {
-                    let n = sweeps[i].partitions.len();
-                    let costs: Vec<f64> = breakdowns[offset..offset + n]
-                        .iter()
-                        .map(|b| clamp_cost(b.combined))
-                        .collect();
-                    offset += n;
+                let mut rows = self.predictor.predict_scratch(signatures, scratch);
+                for &(i, key, _) in members {
+                    let (own, rest) = rows.split_at(sweeps[i].partitions.len());
+                    rows = rest;
+                    let costs: Vec<f64> = own.iter().map(|b| clamp_cost(b.combined)).collect();
                     if let Some(cache) = &self.cache {
-                        cache.insert(keys[i], costs.clone().into());
+                        cache.insert(key, CachedCosts::collect(costs.iter().copied()));
                     }
                     results[i] = Some(costs);
                 }
@@ -577,6 +726,110 @@ mod tests {
 
         cached.clear_cache();
         assert_eq!(cached.cache_stats(), CacheStats::default());
+    }
+
+    /// Everything a sweep's costs depend on is in its key: a job or sweep that
+    /// differs from a cached one in any single ingredient misses, and what it
+    /// then computes (and what a repeat reads back) equals the uncached model.
+    #[test]
+    fn a_change_to_any_key_ingredient_misses_and_matches_uncached() {
+        let predictor = std::sync::Arc::new(u_shape_predictor());
+        let cached = LearnedCostModel::new(std::sync::Arc::clone(&predictor));
+        let uncached = LearnedCostModel::without_cache(predictor);
+
+        let base_meta = JobMeta {
+            normalized_inputs: vec!["a".into(), "b".into()],
+            ..meta()
+        };
+        let base_node = exchange_node(1e6, 8);
+        let mut reordered = base_meta.clone();
+        reordered.normalized_inputs.reverse();
+        let mut first_param = base_meta.clone();
+        first_param.params[0] = 0.25;
+        let mut second_param = base_meta.clone();
+        second_param.params[1] = 0.25;
+        let mut one_bit = base_node.clone();
+        one_bit.est.avg_row_bytes = f64::from_bits(one_bit.est.avg_row_bytes.to_bits() + 1);
+
+        let variants: [(&str, &PhysicalNode, &JobMeta, &[usize]); 7] = [
+            ("base", &base_node, &base_meta, &[8]),
+            ("input order", &base_node, &reordered, &[8]),
+            ("params[0]", &base_node, &first_param, &[8]),
+            ("params[1]", &base_node, &second_param, &[8]),
+            ("one statistic bit", &one_bit, &base_meta, &[8]),
+            ("candidate count", &base_node, &base_meta, &[8, 8]),
+            ("candidate value", &base_node, &base_meta, &[9]),
+        ];
+        for (round, expect_hit) in [(0, false), (1, true)] {
+            for (name, node, m, partitions) in variants {
+                let before = cached.cache_stats();
+                let got = cached.exclusive_cost_batch(node, partitions, m);
+                let after = cached.cache_stats();
+                assert_eq!(
+                    (after.hits - before.hits, after.misses - before.misses),
+                    if expect_hit { (1, 0) } else { (0, 1) },
+                    "round {round}, {name}"
+                );
+                let reference = uncached.exclusive_cost_batch(node, partitions, m);
+                assert_eq!(got.len(), reference.len());
+                for (a, b) in got.iter().zip(&reference) {
+                    assert_eq!(a.to_bits(), b.to_bits(), "round {round}, {name}");
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn scalar_and_one_candidate_batch_share_an_entry() {
+        let predictor = std::sync::Arc::new(u_shape_predictor());
+        let cached = LearnedCostModel::new(std::sync::Arc::clone(&predictor));
+        let uncached = LearnedCostModel::without_cache(predictor);
+        let m = meta();
+        let node = exchange_node(2e6, 8);
+        let reference = uncached.exclusive_cost(&node, 24, &m);
+        let scalar = cached.exclusive_cost(&node, 24, &m);
+        let batch = cached.exclusive_cost_batch(&node, &[24], &m);
+        assert_eq!(scalar.to_bits(), reference.to_bits());
+        assert_eq!(batch.len(), 1);
+        assert_eq!(batch[0].to_bits(), reference.to_bits());
+        assert_eq!(cached.cache_stats(), CacheStats { hits: 1, misses: 1 });
+    }
+
+    /// Two jobs costed alternately on one thread: every call finds the *other*
+    /// job remembered, so the per-job key material is re-derived each time and
+    /// must never leak from one job into the other's key or feature rows.
+    #[test]
+    fn interleaved_jobs_stay_bit_identical_to_uncached() {
+        let predictor = std::sync::Arc::new(u_shape_predictor());
+        let cached = LearnedCostModel::new(std::sync::Arc::clone(&predictor));
+        let uncached = LearnedCostModel::without_cache(predictor);
+        // Built afresh for every call: a job is recognised by what its metadata
+        // holds, not by where it lives.
+        let job = |which: usize| JobMeta {
+            normalized_inputs: [vec!["t".into()], vec!["u".into(), "t".into()]][which].clone(),
+            params: [vec![0.5, 0.5], vec![0.5]][which].clone(),
+            ..meta()
+        };
+        let nodes: Vec<PhysicalNode> = (1..=4).map(|i| exchange_node(3e5 * i as f64, 8)).collect();
+        for _round in 0..2 {
+            for node in &nodes {
+                for p in [1, 16, 200] {
+                    for which in [0, 1] {
+                        let got = cached.exclusive_cost(node, p, &job(which));
+                        let reference = uncached.exclusive_cost(node, p, &job(which));
+                        assert_eq!(got.to_bits(), reference.to_bits(), "job {which}, P={p}");
+                    }
+                }
+            }
+        }
+        let calls = 2 * nodes.len() * 3;
+        assert_eq!(
+            cached.cache_stats(),
+            CacheStats {
+                hits: calls,
+                misses: calls
+            }
+        );
     }
 
     #[test]

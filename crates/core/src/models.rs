@@ -983,6 +983,18 @@ impl PredictScratch {
     /// batched output is bit-identical to costing it alone.
     pub fn append_features(&mut self, node: &PhysicalNode, partitions: &[usize], meta: &JobMeta) {
         let encoding = crate::features::input_encoding(meta);
+        self.append_features_with_encoding(node, partitions, meta, encoding);
+    }
+
+    /// [`PredictScratch::append_features`] for a caller that already holds the
+    /// job's [`crate::features::input_encoding`].
+    pub(crate) fn append_features_with_encoding(
+        &mut self,
+        node: &PhysicalNode,
+        partitions: &[usize],
+        meta: &JobMeta,
+        encoding: f64,
+    ) {
         // Hoist the sweep-invariant features (cardinalities, transcendentals,
         // metadata) once; per candidate only `P` and the `…/P` slots are
         // rewritten — bit-identical to full per-row extraction.

@@ -12,10 +12,8 @@
 //! * **operator-input** — root physical operator + the normalised input templates;
 //! * **operator** — just the root physical operator.
 
-use std::sync::OnceLock;
-
 use cleo_common::hash::{hash_str, StableHasher};
-use cleo_engine::physical::{JobMeta, PhysicalNode, PhysicalOpKind};
+use cleo_engine::physical::{JobMeta, PhysicalNode, PhysicalOpKind, LOGICAL_OP_NAMES};
 
 /// The four individual model families of the paper, ordered from most specialised to
 /// most general (Table 5).
@@ -79,6 +77,23 @@ impl SignatureSet {
     }
 }
 
+const KINDS: usize = PhysicalOpKind::all().len();
+
+/// A hasher that has been fed `kind.name()`, per physical operator kind (indexed
+/// by the enum discriminant): three of the four signatures start with the
+/// root's name, so its bytes are hashed when the crate is compiled, not on
+/// every costing call.
+static KIND_NAME_HASHERS: [StableHasher; KINDS] = {
+    let kinds = PhysicalOpKind::all();
+    let mut table = [StableHasher::new(); KINDS];
+    let mut i = 0;
+    while i < KINDS {
+        table[kinds[i] as usize].write_str(kinds[i].name());
+        i += 1;
+    }
+    table
+};
+
 /// Exact subgraph signature: operator name + label, combined with children signatures
 /// in order (the recursive 64-bit hash of Section 5.1).
 ///
@@ -89,8 +104,7 @@ impl SignatureSet {
 /// formatting.
 pub fn subgraph_signature(node: &PhysicalNode) -> u64 {
     node.memo_subgraph_signature(|n| {
-        let mut h = StableHasher::new();
-        h.write_str(n.kind.name());
+        let mut h = KIND_NAME_HASHERS[n.kind as usize];
         h.write_str(&n.label);
         for c in &n.children {
             h.write_u64(subgraph_signature(c));
@@ -107,8 +121,10 @@ pub fn subgraph_signature(node: &PhysicalNode) -> u64 {
 /// identical input sets hash identically, different sets differ — without
 /// materialising a `Vec<&str>`.  Jobs have a handful of inputs, so the common
 /// case runs entirely on a stack buffer: this function sits inside every
-/// costing call and must not touch the allocator.
-fn input_template_hash(meta: &JobMeta) -> u64 {
+/// costing call and must not touch the allocator.  It is a constant of the job:
+/// the cost model derives it once per job and passes it to
+/// [`signature_set_with_template`].
+pub(crate) fn input_template_hash(meta: &JobMeta) -> u64 {
     const STACK_INPUTS: usize = 16;
     let inputs = &meta.normalized_inputs;
     let mut stack = [0u64; STACK_INPUTS];
@@ -135,39 +151,64 @@ fn input_template_hash(meta: &JobMeta) -> u64 {
     h.finish()
 }
 
-/// The sorted multiset of per-logical-operator frequency hashes under `node`,
-/// memoised on the node (the `format!`-per-operator of the seed implementation
-/// is gone: each entry hashes the name and count directly, once per node ever).
-fn logical_freq_hashes(node: &PhysicalNode) -> &[u64] {
-    node.memo_logical_freq_hashes(|n| {
-        let mut hashes: Vec<u64> = n
-            .logical_frequency()
-            .iter()
-            .map(|(name, count)| {
-                let mut h = StableHasher::new();
-                h.write_str(name).write_u64(*count as u64);
-                h.finish()
-            })
-            .collect();
-        hashes.sort_unstable();
-        hashes.into_boxed_slice()
-    })
-}
-
-/// Root-operator + input-template hash shared by the approximate-subgraph and
-/// operator-input signatures.
+/// Root-operator + input-template hash: the operator-input signature, and the
+/// first word of the approximate-subgraph one.
 fn root_input_hash(node: &PhysicalNode, input_template: u64) -> u64 {
-    let mut h = StableHasher::new();
-    h.write_str(node.kind.name());
+    let mut h = KIND_NAME_HASHERS[node.kind as usize];
     h.write_u64(input_template);
     h.finish()
 }
 
-fn approx_signature_from_parts(node: &PhysicalNode, input_template: u64) -> u64 {
+/// One entry of the approximate signature's frequency multiset: a logical
+/// operator's name and how many operators under the root map onto it.
+const fn frequency_entry(logical_name: &str, count: u64) -> u64 {
     let mut h = StableHasher::new();
-    h.write_u64(root_input_hash(node, input_template));
-    for &fh in logical_freq_hashes(node) {
-        h.write_u64(fh);
+    h.write_str(logical_name).write_u64(count);
+    h.finish()
+}
+
+/// Counts up to this one read their [`frequency_entry`] from a table built at
+/// compile time; plans rarely hold more operators of one logical kind.
+const TABLED_COUNTS: usize = 16;
+
+/// `FREQUENCY_ENTRIES[op][count - 1] == frequency_entry(LOGICAL_OP_NAMES[op], count)`.
+static FREQUENCY_ENTRIES: [[u64; TABLED_COUNTS]; LOGICAL_OP_NAMES.len()] = {
+    let mut table = [[0; TABLED_COUNTS]; LOGICAL_OP_NAMES.len()];
+    let mut op = 0;
+    while op < LOGICAL_OP_NAMES.len() {
+        let mut count = 1;
+        while count <= TABLED_COUNTS {
+            table[op][count - 1] = frequency_entry(LOGICAL_OP_NAMES[op], count as u64);
+            count += 1;
+        }
+        op += 1;
+    }
+    table
+};
+
+/// `root_input` combined with the sorted multiset of per-logical-operator
+/// frequency entries under `node`.  The frequencies are the counts the node
+/// cached at construction, so this sorts at most nine words on the stack and
+/// never walks the subtree.
+fn approx_signature_from_parts(node: &PhysicalNode, root_input: u64) -> u64 {
+    let mut entries = [0u64; LOGICAL_OP_NAMES.len()];
+    let mut len = 0;
+    for (op, &count) in node.logical_counts().iter().enumerate() {
+        if count == 0 {
+            continue;
+        }
+        entries[len] = match FREQUENCY_ENTRIES[op].get(usize::from(count) - 1) {
+            Some(&entry) => entry,
+            None => frequency_entry(LOGICAL_OP_NAMES[op], u64::from(count)),
+        };
+        len += 1;
+    }
+    let entries = &mut entries[..len];
+    entries.sort_unstable();
+    let mut h = StableHasher::new();
+    h.write_u64(root_input);
+    for &entry in entries.iter() {
+        h.write_u64(entry);
     }
     h.finish()
 }
@@ -175,7 +216,7 @@ fn approx_signature_from_parts(node: &PhysicalNode, input_template: u64) -> u64 
 /// Approximate subgraph signature: root physical operator + input template + frequency
 /// of each logical operator underneath (unordered).
 pub fn subgraph_approx_signature(node: &PhysicalNode, meta: &JobMeta) -> u64 {
-    approx_signature_from_parts(node, input_template_hash(meta))
+    approx_signature_from_parts(node, op_input_signature(node, meta))
 }
 
 /// Operator-input signature: root physical operator + input template.
@@ -183,31 +224,29 @@ pub fn op_input_signature(node: &PhysicalNode, meta: &JobMeta) -> u64 {
     root_input_hash(node, input_template_hash(meta))
 }
 
-/// Per-operator signature: the physical operator name (precomputed per kind,
-/// indexed by the enum discriminant — O(1) on the costing hot path).
+/// Per-operator signature: the physical operator name.
 pub fn operator_signature(node: &PhysicalNode) -> u64 {
-    static TABLE: OnceLock<Vec<u64>> = OnceLock::new();
-    let table = TABLE.get_or_init(|| {
-        let kinds = PhysicalOpKind::all();
-        let mut t = vec![0u64; kinds.len()];
-        for &k in kinds {
-            t[k as usize] = hash_str(k.name());
-        }
-        t
-    });
-    table[node.kind as usize]
+    KIND_NAME_HASHERS[node.kind as usize].finish()
 }
 
-/// Compute all four signatures in one pass.  The input-template hash is computed
-/// once and shared by the two families that use it; the subtree-shaped parts come
-/// from the per-node memo, so repeated costing of the same operator never
-/// re-walks its subtree.
+/// Compute all four signatures in one pass.  The subtree-shaped parts come from
+/// what the node cached (the subgraph-signature memo and the logical-operator
+/// counts), so repeated costing of the same operator never re-walks its subtree.
 pub fn signature_set(node: &PhysicalNode, meta: &JobMeta) -> SignatureSet {
-    let input_template = input_template_hash(meta);
+    signature_set_with_template(node, input_template_hash(meta))
+}
+
+/// [`signature_set`] for a caller that already holds the job's
+/// [`input_template_hash`].
+pub(crate) fn signature_set_with_template(
+    node: &PhysicalNode,
+    input_template: u64,
+) -> SignatureSet {
+    let root_input = root_input_hash(node, input_template);
     SignatureSet {
         op_subgraph: subgraph_signature(node),
-        op_subgraph_approx: approx_signature_from_parts(node, input_template),
-        op_input: root_input_hash(node, input_template),
+        op_subgraph_approx: approx_signature_from_parts(node, root_input),
+        op_input: root_input,
         operator: operator_signature(node),
     }
 }

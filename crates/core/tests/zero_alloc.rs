@@ -12,30 +12,49 @@
 //! capacity — never touches the allocator either.
 
 use std::alloc::{GlobalAlloc, Layout, System};
-use std::sync::atomic::{AtomicUsize, Ordering};
+use std::cell::Cell;
 use std::sync::Arc;
 
 use cleo_core::models::PredictScratch;
-use cleo_core::{pipeline, TrainerConfig};
+use cleo_core::{pipeline, signature_set, LearnedCostModel, TrainerConfig};
 use cleo_engine::exec::{Simulator, SimulatorConfig};
+use cleo_engine::physical::{PhysicalNode, PhysicalOpKind};
 use cleo_engine::workload::generator::{generate_cluster_workload, ClusterConfig};
 use cleo_engine::ClusterId;
-use cleo_optimizer::{HeuristicCostModel, OptimizerConfig};
+use cleo_optimizer::{CostModel, HeuristicCostModel, OptimizerConfig};
 
 struct CountingAllocator;
 
-static ALLOCATIONS: AtomicUsize = AtomicUsize::new(0);
+thread_local! {
+    /// Allocations made by *this* thread.  `cargo test` runs the tests of this
+    /// file on parallel threads, and each proof is about the thread that
+    /// measures; a process-wide count would charge one test with another's
+    /// set-up.  Const-initialised and without a destructor, so the allocator
+    /// can touch it at any point of a thread's life without allocating.
+    static ALLOCATIONS: Cell<usize> = const { Cell::new(0) };
+}
+
+fn count_allocation() {
+    // `try_with`: an allocation made while a thread's locals are being torn
+    // down is not one any test measures.
+    let _ = ALLOCATIONS.try_with(|count| count.set(count.get() + 1));
+}
+
+/// Allocations the calling thread has made so far.
+fn allocations() -> usize {
+    ALLOCATIONS.with(Cell::get)
+}
 
 unsafe impl GlobalAlloc for CountingAllocator {
     unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
-        ALLOCATIONS.fetch_add(1, Ordering::Relaxed);
+        count_allocation();
         System.alloc(layout)
     }
     unsafe fn dealloc(&self, ptr: *mut u8, layout: Layout) {
         System.dealloc(ptr, layout)
     }
     unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
-        ALLOCATIONS.fetch_add(1, Ordering::Relaxed);
+        count_allocation();
         System.realloc(ptr, layout, new_size)
     }
 }
@@ -79,14 +98,14 @@ fn steady_state_candidate_sweep_allocates_nothing() {
         })
         .collect();
     let mut total_candidates = 0usize;
-    let before = ALLOCATIONS.load(Ordering::Relaxed);
+    let before = allocations();
     let mut acc = 0.0;
     for &(node, meta) in &nodes {
         let breakdowns = predictor.predict_candidates_with(node, &candidates, meta, &mut scratch);
         acc += breakdowns.iter().map(|b| b.combined).sum::<f64>();
         total_candidates += breakdowns.len();
     }
-    let after = ALLOCATIONS.load(Ordering::Relaxed);
+    let after = allocations();
     assert!(acc.is_finite());
     assert!(
         total_candidates > 1000,
@@ -150,7 +169,7 @@ fn ragged_simd_sweep_allocates_nothing() {
                 .map(move |n| (n, &job.plan.meta))
         })
         .collect();
-    let before = ALLOCATIONS.load(Ordering::Relaxed);
+    let before = allocations();
     let mut acc = 0.0;
     let mut total_candidates = 0usize;
     for candidates in &candidate_sets {
@@ -160,7 +179,7 @@ fn ragged_simd_sweep_allocates_nothing() {
             total_candidates += b.len();
         }
     }
-    let after = ALLOCATIONS.load(Ordering::Relaxed);
+    let after = allocations();
     assert!(acc.is_finite());
     assert!(
         total_candidates > 500,
@@ -195,7 +214,7 @@ fn steady_state_ndjson_scan_allocates_nothing() {
     let expected = scan_ndjson(buf).expect("scan");
     assert_eq!(expected.jobs, log.len());
 
-    let before = ALLOCATIONS.load(Ordering::Relaxed);
+    let before = allocations();
     let mut jobs_seen = 0usize;
     let mut operators_seen = 0usize;
     for _ in 0..50 {
@@ -203,7 +222,7 @@ fn steady_state_ndjson_scan_allocates_nothing() {
         jobs_seen += summary.jobs;
         operators_seen += summary.operators;
     }
-    let after = ALLOCATIONS.load(Ordering::Relaxed);
+    let after = allocations();
     assert_eq!(jobs_seen, expected.jobs * 50);
     assert_eq!(operators_seen, expected.operators * 50);
     assert_eq!(
@@ -254,12 +273,12 @@ fn disabled_obs_route_resolution_allocates_nothing() {
     let warm = router.snapshot_for(meta);
     assert_eq!(warm.version, 1);
 
-    let before = ALLOCATIONS.load(Ordering::Relaxed);
+    let before = allocations();
     let mut versions = 0u64;
     for _ in 0..2000 {
         versions += router.snapshot_for(meta).version;
     }
-    let after = ALLOCATIONS.load(Ordering::Relaxed);
+    let after = allocations();
     assert_eq!(versions, 2000);
     assert_eq!(
         after - before,
@@ -292,7 +311,7 @@ fn steady_state_obs_recording_allocates_nothing() {
         verdict: AdmissionKind::Admitted,
     });
 
-    let before = ALLOCATIONS.load(Ordering::Relaxed);
+    let before = allocations();
     for i in 0..4000u64 {
         counter.add(1);
         gauge.set_max(i);
@@ -303,7 +322,7 @@ fn steady_state_obs_recording_allocates_nothing() {
             verdict: AdmissionKind::Admitted,
         });
     }
-    let after = ALLOCATIONS.load(Ordering::Relaxed);
+    let after = allocations();
     assert_eq!(
         after - before,
         0,
@@ -315,4 +334,107 @@ fn steady_state_obs_recording_allocates_nothing() {
     assert_eq!(histogram.count(), 4001);
     assert_eq!(obs.trace().len(), 4001);
     assert_eq!(obs.trace().dropped(), 0);
+}
+
+/// A prediction-cache hit allocates nothing: with every operator of the plans
+/// costed once, costing them all again — across jobs, so the remembered job
+/// changes at every plan boundary — finds the job, hashes four signatures from
+/// what each node cached, mixes the key and reads one `f64` out of the map.
+#[test]
+fn warm_cache_hits_allocate_nothing() {
+    let workload = generate_cluster_workload(&ClusterConfig::small(ClusterId(0)), 2);
+    let heuristic = HeuristicCostModel::default_model();
+    let simulator = Simulator::new(SimulatorConfig::default());
+    let jobs: Vec<_> = workload.jobs.iter().take(40).collect();
+    let log =
+        pipeline::run_jobs(&jobs, &heuristic, OptimizerConfig::default(), &simulator).unwrap();
+    let model =
+        LearnedCostModel::new(pipeline::train_predictor(&log, TrainerConfig::default()).unwrap());
+
+    let nodes: Vec<_> = log
+        .jobs()
+        .iter()
+        .take(10)
+        .flat_map(|job| {
+            job.plan
+                .operators()
+                .into_iter()
+                .map(move |n| (n, &job.plan.meta))
+        })
+        .collect();
+    let cost_all = || -> f64 {
+        nodes
+            .iter()
+            .map(|&(node, meta)| model.exclusive_cost(node, node.partition_count, meta))
+            .sum()
+    };
+
+    let cold = cost_all();
+    let warmed = model.cache_stats();
+    let before = allocations();
+    let warm = cost_all();
+    let after = allocations();
+    assert_eq!(warm.to_bits(), cold.to_bits());
+    let stats = model.cache_stats();
+    assert_eq!(
+        (stats.hits - warmed.hits, stats.misses),
+        (nodes.len(), warmed.misses),
+        "every call of the second pass is a hit"
+    );
+    assert!(nodes.len() > 40, "costed {} operators", nodes.len());
+    assert_eq!(
+        after - before,
+        0,
+        "cache hits must not allocate (got {} allocations over {} hits)",
+        after - before,
+        nodes.len()
+    );
+}
+
+/// Enumeration builds every candidate parent fresh over children that are
+/// already signed, then asks for its signatures.  Beyond building the node,
+/// that costs no allocation: the logical-operator counts were summed from the
+/// children at construction and their hashes are built on the stack.
+#[test]
+fn signatures_of_a_fresh_parent_allocate_nothing() {
+    use cleo_engine::physical::JobMeta;
+    use cleo_engine::types::{DayIndex, JobId};
+
+    let meta = JobMeta {
+        id: JobId(1),
+        cluster: ClusterId(0),
+        template: None,
+        name: "fresh".into(),
+        normalized_inputs: vec!["clicks_{date}".into(), "users".into()],
+        params: vec![1.0, 2.0],
+        day: DayIndex(0),
+        recurring: true,
+    };
+    let scan = |table: &str| PhysicalNode::new(PhysicalOpKind::Extract, table, vec![]);
+    let filter = PhysicalNode::new(PhysicalOpKind::Filter, "ts>0", vec![scan("clicks")]);
+    let join = PhysicalNode::new(
+        PhysicalOpKind::HashJoin,
+        "user",
+        vec![filter, scan("users")],
+    );
+    let child = Arc::new(PhysicalNode::new(
+        PhysicalOpKind::LocalAggregate,
+        "region",
+        vec![join],
+    ));
+    let mut folded = signature_set(&child, &meta).op_subgraph_approx;
+
+    let mut allocated = 0;
+    for &kind in PhysicalOpKind::all() {
+        let parent = PhysicalNode::new_shared(kind, "region", vec![Arc::clone(&child)]);
+        let before = allocations();
+        let signatures = signature_set(&parent, &meta);
+        allocated += allocations() - before;
+        folded ^= signatures.op_subgraph ^ signatures.op_subgraph_approx;
+    }
+    assert_ne!(folded, 0);
+    assert_eq!(
+        allocated, 0,
+        "signing a fresh parent over signed children must not allocate"
+    );
 }

@@ -45,7 +45,7 @@ pub enum PhysicalOpKind {
 
 impl PhysicalOpKind {
     /// Stable operator name used in signatures and reports.
-    pub fn name(&self) -> &'static str {
+    pub const fn name(&self) -> &'static str {
         match self {
             PhysicalOpKind::Extract => "Extract",
             PhysicalOpKind::Filter => "Filter",
@@ -63,7 +63,7 @@ impl PhysicalOpKind {
     }
 
     /// All physical operator kinds (used to pre-build per-operator models).
-    pub fn all() -> &'static [PhysicalOpKind] {
+    pub const fn all() -> &'static [PhysicalOpKind] {
         &[
             PhysicalOpKind::Extract,
             PhysicalOpKind::Filter,
@@ -101,48 +101,81 @@ impl PhysicalOpKind {
     /// Logical operator name this implementation corresponds to (used by the
     /// operator-subgraphApprox signature, which works on logical frequencies).
     pub fn logical_name(&self) -> &'static str {
+        LOGICAL_OP_NAMES[self.logical_index()]
+    }
+
+    /// Index of [`PhysicalOpKind::logical_name`] in [`LOGICAL_OP_NAMES`].
+    fn logical_index(&self) -> usize {
         match self {
-            PhysicalOpKind::Extract => "Get",
-            PhysicalOpKind::Filter => "Filter",
-            PhysicalOpKind::Project => "Project",
-            PhysicalOpKind::HashJoin | PhysicalOpKind::MergeJoin => "Join",
             PhysicalOpKind::HashAggregate
             | PhysicalOpKind::StreamAggregate
-            | PhysicalOpKind::LocalAggregate => "Aggregate",
-            PhysicalOpKind::Sort => "Sort",
-            PhysicalOpKind::Exchange => "Exchange",
-            PhysicalOpKind::Process => "Process",
-            PhysicalOpKind::Output => "Output",
+            | PhysicalOpKind::LocalAggregate => 0,
+            PhysicalOpKind::Exchange => 1,
+            PhysicalOpKind::Filter => 2,
+            PhysicalOpKind::Extract => 3,
+            PhysicalOpKind::HashJoin | PhysicalOpKind::MergeJoin => 4,
+            PhysicalOpKind::Output => 5,
+            PhysicalOpKind::Process => 6,
+            PhysicalOpKind::Project => 7,
+            PhysicalOpKind::Sort => 8,
         }
     }
+}
+
+/// The logical operators physical implementations map onto, sorted by name.
+pub const LOGICAL_OP_NAMES: [&str; 9] = [
+    "Aggregate",
+    "Exchange",
+    "Filter",
+    "Get",
+    "Join",
+    "Output",
+    "Process",
+    "Project",
+    "Sort",
+];
+
+/// Operators per logical operator in one subtree, indexed like
+/// [`LOGICAL_OP_NAMES`].  `u16` keeps a node the size it was; a count
+/// saturates at 65,535, far beyond any plan the engine builds.
+pub type LogicalCounts = [u16; LOGICAL_OP_NAMES.len()];
+
+fn logical_counts(kind: PhysicalOpKind, children: &[Arc<PhysicalNode>]) -> LogicalCounts {
+    let mut counts = [0u16; LOGICAL_OP_NAMES.len()];
+    counts[kind.logical_index()] = 1;
+    for child in children {
+        for (total, &below) in counts.iter_mut().zip(&child.structure.logical_counts) {
+            *total = total.saturating_add(below);
+        }
+    }
+    counts
 }
 
 /// Structure-derived values cached per node so the optimizer's costing hot loop
 /// never re-walks a subtree it has already summarised.
 ///
-/// `node_count`/`depth` are computed bottom-up at construction (children are
-/// already built, so each is O(children)).  The two memo slots are filled lazily
-/// on first use by `cleo-core`'s signature layer, which keeps the hashing scheme
-/// out of the engine crate.  All cached values depend **only** on the structural
-/// fields (`kind`, `label`, `children`); statistics, ids, partition counts, and
-/// physical properties may be mutated freely afterwards.  Callers that mutate
-/// `kind`/`label`/`children` after construction must do so *before* the first
-/// signature query (in practice only tests do this) or rebuild the node.
+/// `node_count`/`depth`/`logical_counts` are computed bottom-up at construction
+/// (children are already built, so each is O(children)).  The signature memo is
+/// filled lazily on first use by `cleo-core`'s signature layer, which keeps the
+/// hashing scheme out of the engine crate.  All cached values depend **only** on
+/// the structural fields (`kind`, `label`, `children`); statistics, ids,
+/// partition counts, and physical properties may be mutated freely afterwards.
+/// `kind` and `children` must not be mutated in place after construction, nor
+/// `label` after the first signature query: rebuild the node instead (debug
+/// builds panic on a stale value).
 #[derive(Debug, Default)]
 struct StructureCache {
     node_count: usize,
     depth: usize,
+    logical_counts: LogicalCounts,
     /// Memoised exact operator-subgraph signature.
     subgraph_signature: OnceLock<u64>,
-    /// Memoised, pre-sorted logical-operator frequency hashes (the unordered
-    /// multiset the operator-subgraphApprox signature combines).
-    logical_freq_hashes: OnceLock<Box<[u64]>>,
 }
 
 impl Clone for StructureCache {
     fn clone(&self) -> Self {
         // Cloned nodes keep the structural counts (label/stat mutations cannot
-        // change them) but drop the memoised signatures: a clone is exactly what
+        // change them) but drop the memoised signature: a clone is exactly what
         // code mutates (directly, or through `Arc::make_mut` during plan
         // rewrites), and a stale signature memo on a relabelled clone would be a
         // correctness bug.  Refilling is cheap — the clone's children keep their
@@ -150,8 +183,8 @@ impl Clone for StructureCache {
         StructureCache {
             node_count: self.node_count,
             depth: self.depth,
+            logical_counts: self.logical_counts,
             subgraph_signature: OnceLock::new(),
-            logical_freq_hashes: OnceLock::new(),
         }
     }
 }
@@ -227,8 +260,8 @@ impl PhysicalNode {
         let structure = StructureCache {
             node_count: 1 + children.iter().map(|c| c.node_count()).sum::<usize>(),
             depth: 1 + children.iter().map(|c| c.depth()).max().unwrap_or(0),
+            logical_counts: logical_counts(kind, &children),
             subgraph_signature: OnceLock::new(),
-            logical_freq_hashes: OnceLock::new(),
         };
         PhysicalNode {
             id: OpId(0),
@@ -288,21 +321,6 @@ impl PhysicalNode {
         cached
     }
 
-    /// The memoised, sorted multiset of logical-operator frequency hashes under
-    /// (and including) this node; `compute` runs once on first call.  No
-    /// dedicated staleness tripwire: the frequency multiset is a function of
-    /// the subtree's kinds, which the subgraph-signature tripwire above already
-    /// covers (and recomputing here would allocate, breaking the zero-alloc
-    /// guarantee in debug test builds).
-    pub fn memo_logical_freq_hashes(
-        &self,
-        compute: impl FnOnce(&PhysicalNode) -> Box<[u64]>,
-    ) -> &[u64] {
-        self.structure
-            .logical_freq_hashes
-            .get_or_init(|| compute(self))
-    }
-
     /// Visit every node (pre-order).
     pub fn visit<'a>(&'a self, f: &mut impl FnMut(&'a PhysicalNode)) {
         f(self);
@@ -336,15 +354,16 @@ impl PhysicalNode {
         self.children.iter().find_map(|c| c.find(id))
     }
 
-    /// Frequency of logical operator names in this subtree (sorted by name).
-    pub fn logical_frequency(&self) -> Vec<(String, usize)> {
-        use std::collections::BTreeMap;
-        let mut acc = BTreeMap::new();
-        self.visit(&mut |n| {
-            *acc.entry(n.kind.logical_name().to_string())
-                .or_insert(0usize) += 1;
-        });
-        acc.into_iter().collect()
+    /// Operators per logical operator in this subtree, indexed like
+    /// [`LOGICAL_OP_NAMES`] (cached at construction, with the same debug
+    /// staleness tripwire as `node_count`).
+    pub fn logical_counts(&self) -> &LogicalCounts {
+        debug_assert_eq!(
+            self.structure.logical_counts,
+            logical_counts(self.kind, &self.children),
+            "stale logical-operator counts: kind/children were mutated in place after construction"
+        );
+        &self.structure.logical_counts
     }
 
     /// Names of all extracted tables in this subtree (depth-first order).
@@ -486,9 +505,8 @@ mod tests {
         assert_eq!(plan.op_count(), 5);
         assert_eq!(plan.root.depth(), 5);
         assert_eq!(plan.root.input_tables(), vec!["events".to_string()]);
-        let freq = plan.root.logical_frequency();
-        assert!(freq.contains(&("Aggregate".to_string(), 1)));
-        assert!(freq.contains(&("Get".to_string(), 1)));
+        // Aggregate, Exchange, Filter, Get and Output once each.
+        assert_eq!(plan.root.logical_counts(), &[1, 1, 1, 1, 0, 1, 0, 0, 0]);
         assert!(plan.root.find(OpId(4)).is_some());
         assert!(plan.root.find(OpId(99)).is_none());
     }
@@ -523,6 +541,40 @@ mod tests {
         let leaf = PhysicalNode::new(PhysicalOpKind::Extract, "t", vec![]);
         assert_eq!(leaf.node_count(), 1);
         assert_eq!(leaf.depth(), 1);
+    }
+
+    #[test]
+    fn logical_counts_sum_over_children_survive_a_clone_and_saturate() {
+        // Two join inputs that each hold an aggregate: physical kinds that share
+        // a logical name add up, across both children.
+        let side = |table: &str, agg: PhysicalOpKind| {
+            let scan = PhysicalNode::new(PhysicalOpKind::Extract, table, vec![]);
+            PhysicalNode::new(agg, "k", vec![scan])
+        };
+        let join = PhysicalNode::new(
+            PhysicalOpKind::MergeJoin,
+            "k",
+            vec![
+                side("a", PhysicalOpKind::StreamAggregate),
+                side("b", PhysicalOpKind::LocalAggregate),
+            ],
+        );
+        // Aggregate 2, Get 2, Join 1.
+        let expected = [2, 0, 0, 2, 1, 0, 0, 0, 0];
+        assert_eq!(join.logical_counts(), &expected);
+        assert_eq!(join.clone().logical_counts(), &expected);
+        let total: usize = join.logical_counts().iter().map(|&n| usize::from(n)).sum();
+        assert_eq!(total, join.node_count());
+        // A count saturates instead of overflowing (a panic in debug builds, a
+        // wrap in release ones): 70,000 references to one shared leaf.
+        let leaf = Arc::new(PhysicalNode::new(PhysicalOpKind::Extract, "t", vec![]));
+        let wide = PhysicalNode::new_shared(PhysicalOpKind::Sort, "k", vec![leaf; 70_000]);
+        assert_eq!(wide.logical_counts(), &[0, 0, 0, u16::MAX, 0, 0, 0, 0, 1]);
+        // The table is what `logical_name` reads, and it is sorted.
+        assert!(LOGICAL_OP_NAMES.windows(2).all(|w| w[0] < w[1]));
+        for kind in PhysicalOpKind::all() {
+            assert!(LOGICAL_OP_NAMES.contains(&kind.logical_name()));
+        }
     }
 
     #[test]
