@@ -373,7 +373,8 @@ kind_strings!(WatchdogKind { Healthy => "healthy", RolledBack => "rolled_back" }
 /// One typed trace event.  `seq` is always a *logical* sequence number
 /// assigned by the emitting site from a deterministic identity (see the
 /// module docs) — never a wall clock — which is what makes event multisets
-/// thread-count-invariant.
+/// thread-count-invariant (with the one exception noted on
+/// [`TraceEvent::Batch`]).
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum TraceEvent {
     /// Front-door admission verdict for one request (`seq` = request number).
@@ -386,6 +387,12 @@ pub enum TraceEvent {
         verdict: AdmissionKind,
     },
     /// A coalesced batch left staging (`seq` = first member's request number).
+    ///
+    /// Which requests share a batch depends on how much work the pool still
+    /// had queued when each arrived, so this is the one event that is
+    /// invariant across worker counts only for a paused pool or
+    /// `coalesce_max = 1`; every other event (and every result) is invariant
+    /// unconditionally.
     Batch {
         /// First member's request number.
         seq: u64,

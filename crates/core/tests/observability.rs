@@ -186,9 +186,14 @@ fn metric_totals_and_event_stream_are_identical_for_1_vs_n_workers() {
                 ..FrontDoorConfig::default()
             },
         );
+        // Which requests share a batch depends on how far the workers have
+        // got, unless they stand still: paused, batch formation (and so the
+        // `Batch` events) is a pure function of the offer order.
+        pool.pause();
         for request in stream(48) {
             door.offer(request);
         }
+        pool.resume();
         let report = door.drain_report();
         assert_eq!(report.stats.shed, 0);
         assert_eq!(report.completed.len(), 48);
@@ -215,11 +220,17 @@ fn metric_totals_and_event_stream_are_identical_for_1_vs_n_workers() {
         .iter()
         .map(|name| snapshot.counter(name))
         .collect();
-        let latency_count = snapshot
-            .histogram("front_door.latency")
-            .map(|h| h.count)
-            .unwrap_or(0);
-        (obs.trace().drain_sorted(), counters, latency_count)
+        let latency = snapshot.histogram("front_door.latency").expect("recorded");
+        let hold = snapshot.histogram("front_door.hold").expect("recorded");
+        assert_eq!(
+            hold.count, latency.count,
+            "one hold sample beside every latency sample"
+        );
+        assert!(
+            hold.sum_nanos <= latency.sum_nanos,
+            "a request is submitted before it completes"
+        );
+        (obs.trace().drain_sorted(), counters, latency.count)
     };
 
     let (events_1, counters_1, latency_1) = run(1);

@@ -1,9 +1,11 @@
 //! Integration tests of the multicore serving path: worker-pool determinism
 //! (1 vs N workers bit-identical), coalesced-batch bit-identity vs per-job
-//! serving, exact admission/shed accounting under over-capacity bursts, and
-//! cross-shard work stealing.
+//! serving, exact admission/shed accounting under over-capacity bursts, the
+//! front door's hold-only-behind-a-full-batch rule, and cross-shard work
+//! stealing.
 
 use std::sync::Arc;
+use std::time::{Duration, Instant};
 
 use cleo_core::models::{CleoPredictor, CombinedModel, ModelStore, OperatorSample};
 use cleo_core::registry::HoldoutMetrics;
@@ -305,6 +307,8 @@ fn front_door_coalesces_same_shard_requests_into_batches() {
         .collect();
 
     let pool = Arc::new(ServingPool::new(shared_over(&router), 4, 2));
+    // Paused: the backlog only grows, so batch formation is a pure function
+    // of the offer order.
     pool.pause();
     let mut door = FrontDoor::new(
         Arc::clone(&pool),
@@ -315,11 +319,18 @@ fn front_door_coalesces_same_shard_requests_into_batches() {
             ..FrontDoorConfig::default()
         },
     );
-    for j in &jobs {
-        door.offer(Arc::clone(j));
-    }
-    // 8 same-shard requests at coalesce_max=4 → exactly 2 batches.
-    assert_eq!(door.stats().batches, 2);
+    // The first four go to the pool one by one (fewer than a full batch is
+    // queued ahead of each); the next three are held behind the full batch,
+    // and the eighth fills theirs: batches of 1,1,1,1,4.
+    let queued_after_each: Vec<usize> = jobs
+        .iter()
+        .map(|j| {
+            door.offer(Arc::clone(j));
+            pool.pending_jobs(0)
+        })
+        .collect();
+    assert_eq!(queued_after_each, vec![1, 2, 3, 4, 4, 4, 4, 8]);
+    assert_eq!(door.stats().batches, 5);
     pool.resume();
     let completed = door.drain();
     assert_eq!(completed.len(), 8);
@@ -331,4 +342,94 @@ fn front_door_coalesces_same_shard_requests_into_batches() {
             c.request
         );
     }
+}
+
+#[test]
+fn offers_up_to_the_cap_are_never_held() {
+    let router = warm_router();
+    let pool = Arc::new(ServingPool::new(shared_over(&router), 4, 1));
+    let cap = FrontDoorConfig::default().coalesce_max;
+    // Running pool, default config.  Ahead of the n-th same-shard offer at
+    // most n-1 jobs can be queued, which is short of a full batch whatever
+    // the worker has or has not claimed: every request is its own batch.
+    for n in 1..=cap {
+        let mut door = FrontDoor::new(Arc::clone(&pool), FrontDoorConfig::default());
+        for i in 0..n {
+            door.offer(job(1000 + i as u64, 0));
+        }
+        assert_eq!(door.stats().batches, n as u64, "{n} offers");
+        assert_eq!(door.drain().len(), n);
+    }
+}
+
+#[test]
+fn an_offer_releases_other_shards_stranded_requests() {
+    let router = warm_router();
+    let pool = Arc::new(ServingPool::new(shared_over(&router), 4, 2));
+    let mut door = FrontDoor::new(Arc::clone(&pool), FrontDoorConfig::default());
+    let cap = FrontDoorConfig::default().coalesce_max;
+
+    // A full batch queues on shard 0 one by one; two more are held behind it.
+    pool.pause();
+    for i in 0..cap + 2 {
+        door.offer(job(1100 + i as u64, 0));
+    }
+    assert_eq!(door.stats().batches, cap as u64);
+    assert_eq!(pool.pending_jobs(0), cap);
+
+    // The backlog drains, but no shard-0 request arrives to carry the two out.
+    pool.resume();
+    let deadline = Instant::now() + Duration::from_secs(30);
+    while pool.total_pending() > 0 {
+        assert!(Instant::now() < deadline, "pool never drained");
+        std::thread::yield_now();
+    }
+    let before = door.stats().batches;
+    door.offer(job(1150, 1));
+    assert_eq!(
+        door.stats().batches,
+        before + 2,
+        "the shard-1 request's own batch plus shard 0's two stranded requests"
+    );
+    assert_eq!(door.drain().len(), cap + 3);
+}
+
+#[test]
+fn completed_requests_carry_when_their_batch_was_submitted() {
+    let router = warm_router();
+    let pool = Arc::new(ServingPool::new(shared_over(&router), 4, 1));
+    pool.pause();
+    let mut door = FrontDoor::new(
+        Arc::clone(&pool),
+        FrontDoorConfig {
+            coalesce_max: 2,
+            ..FrontDoorConfig::default()
+        },
+    );
+    // Batches under the paused pool: [0] [1] [2,3] and [4], which only the
+    // drain releases.
+    let offered_at: Vec<Instant> = (0..5)
+        .map(|i| {
+            let now = Instant::now();
+            door.offer(job(1200 + i, 0));
+            now
+        })
+        .collect();
+    assert_eq!(door.stats().batches, 3);
+    let drain_at = Instant::now();
+    pool.resume();
+    let completed = door.drain();
+    assert_eq!(completed.len(), 5);
+    for (c, offered) in completed.iter().zip(&offered_at) {
+        assert!(c.result.is_ok());
+        assert!(*offered <= c.submitted_at, "request {}", c.request);
+        assert!(c.submitted_at <= c.completed_at, "request {}", c.request);
+    }
+    // 0 and 1 left inside their own offers; 2 waited for 3; 4 for the drain.
+    assert!(completed[0].submitted_at <= offered_at[1]);
+    assert!(completed[1].submitted_at <= offered_at[2]);
+    assert_eq!(completed[2].submitted_at, completed[3].submitted_at);
+    assert!(completed[2].submitted_at >= offered_at[3]);
+    assert!(completed[3].submitted_at <= offered_at[4]);
+    assert!(completed[4].submitted_at >= drain_at);
 }
