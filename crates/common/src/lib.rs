@@ -17,6 +17,7 @@
 //!   histograms, and deterministic trace events,
 //! * [`scan`] — SWAR byte scanning and span-exact number parsing for the
 //!   streaming telemetry readers,
+//! * [`scratch`] — reuse of scratch buffers whose elements borrow,
 //! * [`table`] — plain-text table rendering for the experiment runners,
 //! * [`csvout`] — tiny CSV writer so experiment output can be post-processed,
 //! * [`error`] — the shared error type.
@@ -30,6 +31,7 @@ pub mod hash;
 pub mod obs;
 pub mod rng;
 pub mod scan;
+pub mod scratch;
 pub mod stats;
 pub mod table;
 

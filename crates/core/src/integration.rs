@@ -12,27 +12,39 @@
 //! re-optimized across feedback epochs present the same `(signature, feature)` pairs
 //! again and again, and a cache hit skips every per-family model lookup and the
 //! FastTree ensemble walk.
+//!
+//! The optimizer hands over each step of a job — an enumeration level, the
+//! exploration probes, the costs at the chosen partition counts, the final
+//! fold — as one call ([`CostModel::exclusive_cost_sweeps_into`],
+//! [`CostModel::partition_coefficients_batch`]).  Every entry point runs
+//! [`LearnedCostModel::with_costs`]: one cache lookup per sweep, then the
+//! call's misses through one predictor pass, each miss's rows through the
+//! per-family models that serve it and every row through the combined
+//! meta-model at once (a miss's FastTree walk shares an 8-row SIMD block with
+//! the other misses instead of walking alone).
 
 use std::cell::RefCell;
-use std::collections::{BTreeMap, HashMap};
+use std::collections::HashMap;
 use std::sync::{Arc, Mutex, OnceLock};
 
 use cleo_common::concurrency::StripedCounter;
 use cleo_common::hash::avalanche;
+use cleo_common::scratch::recycle;
 use cleo_engine::physical::{JobMeta, PhysicalNode};
 use cleo_optimizer::{CostModel, SweepSpec};
 
 use crate::features::{encoding_from_order_hash, input_order_hash};
-use crate::models::{CleoPredictor, PredictScratch};
+use crate::models::{CleoPredictor, PredictScratch, SweepRows};
 use crate::signature::{input_template_hash, signature_set_with_template, SignatureSet};
 
 thread_local! {
-    /// Per-thread inference scratch: every optimizer thread reuses one flat
-    /// feature matrix (plus the predictor's intermediate buffers) across all
-    /// candidate sweeps, so steady-state costing performs zero per-candidate
-    /// heap allocations.  Thread-local (rather than a field) keeps
-    /// [`LearnedCostModel`] `Sync` without a contended lock on the hot path.
-    static SWEEP_SCRATCH: RefCell<PredictScratch> = RefCell::new(PredictScratch::new());
+    /// Per-thread costing scratch: every optimizer thread reuses one flat
+    /// feature matrix (plus the predictor's intermediate buffers and the
+    /// call's cost and miss lists) across all cost calls, so steady-state
+    /// costing performs zero heap allocations.  Thread-local (rather than a
+    /// field) keeps [`LearnedCostModel`] `Sync` without a contended lock on the
+    /// hot path.
+    static SWEEP_SCRATCH: RefCell<CallScratch> = RefCell::new(CallScratch::default());
 
     /// What the last job costed on this thread contributes to its cache keys
     /// and feature rows.  An optimization makes tens of cost calls for one job,
@@ -126,6 +138,23 @@ fn job_words(meta: &JobMeta) -> JobWords {
             last.insert(JobKey::derive(meta, buffer)).words
         }
     })
+}
+
+/// The buffers of one [`LearnedCostModel`] cost call.
+#[derive(Default)]
+struct CallScratch {
+    /// Feature rows of the call's misses, and the predictor's buffers.
+    predict: PredictScratch,
+    /// Every sweep's costs, sweep after sweep in call order.
+    costs: Vec<f64>,
+    /// The sweeps that missed, in call order (parked between calls, see
+    /// [`recycle`]).
+    missed: Vec<SweepRows<'static>>,
+    /// Per missed sweep: its cache key and where its costs start in `costs`.
+    missed_at: Vec<(u64, usize)>,
+    /// Sweeps repeating an earlier miss of the same call: where their costs
+    /// start in `costs`, and the index of that miss.
+    repeats: Vec<(usize, usize)>,
 }
 
 /// Floor applied to every cost returned to the optimizer, so that downstream
@@ -443,84 +472,146 @@ impl LearnedCostModel {
 }
 
 impl LearnedCostModel {
-    /// Run the full prediction stack for one candidate sweep (no cache).
-    ///
-    /// Feature rows are extracted straight into the thread-local scratch matrix
-    /// and every model evaluation reuses the scratch's buffers; the only
-    /// allocation left per sweep is the returned cost slice (none for a single
-    /// candidate), which the cache retains on a miss.
-    fn predict_sweep(
+    /// Cost `sweeps` and hand their costs — sweep after sweep, candidate after
+    /// candidate — to `read`.  Every exclusive-cost entry point is this one
+    /// function: first every sweep is looked up (find the job in
+    /// [`LAST_JOB`] unless the previous sweep was the same job's, hash the
+    /// operator's four signatures from what the node cached, resolve the
+    /// serving models once — for the salt and for prediction — mix the key,
+    /// one map lookup); then every miss goes through one predictor pass, its
+    /// rows through the per-family models that serve it and all rows through
+    /// the combined meta-model at once.  A sweep repeating an earlier miss of
+    /// the same call is counted as the hit the one-sweep-per-call path would
+    /// have found, and copies that miss's costs.  Values are bit-identical to
+    /// costing each sweep alone: prediction is row-independent.  With caching
+    /// disabled every sweep is a miss.
+    fn with_costs<'s, R>(
         &self,
-        signatures: &SignatureSet,
-        node: &PhysicalNode,
-        partitions: &[usize],
-        meta: &JobMeta,
-        input_encoding: f64,
-    ) -> CachedCosts {
+        sweeps: impl IntoIterator<Item = SweepSpec<'s>>,
+        read: impl FnOnce(&[f64]) -> R,
+    ) -> R {
         SWEEP_SCRATCH.with_borrow_mut(|scratch| {
-            scratch.reset_features();
-            scratch.append_features_with_encoding(node, partitions, meta, input_encoding);
-            let breakdowns = self.predictor.predict_scratch(signatures, scratch);
-            CachedCosts::collect(breakdowns.iter().map(|b| clamp_cost(b.combined)))
-        })
-    }
-
-    /// Look one candidate sweep up in the cache (one lookup per sweep).  A hit
-    /// is: find the job in [`LAST_JOB`], hash the operator's four signatures
-    /// from what the node cached, resolve the salt, mix the key, one map lookup.
-    /// With caching disabled every sweep is a miss (and its key unused).
-    fn lookup(
-        &self,
-        node: &PhysicalNode,
-        partitions: &[usize],
-        meta: &JobMeta,
-    ) -> Result<CachedCosts, Miss> {
-        let job = job_words(meta);
-        let signatures = signature_set_with_template(node, job.input_template);
-        let mut key = 0;
-        if let Some(cache) = &self.cache {
-            let salt = self.predictor.signature_salt(&signatures);
-            key = sweep_key(job.key_seed, salt, &signatures, node, partitions);
-            if let Some(costs) = cache.get(key) {
-                return Ok(costs);
+            let CallScratch {
+                predict,
+                costs,
+                missed: parked,
+                missed_at,
+                repeats,
+            } = scratch;
+            costs.clear();
+            missed_at.clear();
+            repeats.clear();
+            // Taken at the first miss: a call that only hits leaves the miss
+            // list and the feature matrix alone.
+            let mut missed: Vec<SweepRows<'_>> = Vec::new();
+            let mut job: Option<(&JobMeta, JobWords)> = None;
+            for sweep in sweeps {
+                let words = match job {
+                    Some((meta, words)) if std::ptr::eq(meta, sweep.meta) => words,
+                    _ => job.insert((sweep.meta, job_words(sweep.meta))).1,
+                };
+                let signatures = signature_set_with_template(sweep.node, words.input_template);
+                let models = self.predictor.resolve(&signatures);
+                let offset = costs.len();
+                let len = sweep.partitions.len();
+                let mut key = 0;
+                if let Some(cache) = &self.cache {
+                    key = sweep_key(
+                        words.key_seed,
+                        models.salt(),
+                        &signatures,
+                        sweep.node,
+                        sweep.partitions,
+                    );
+                    if let Some(first) = missed_at.iter().position(|&(k, _)| k == key) {
+                        cache.hits.add(1);
+                        costs.resize(offset + len, 0.0);
+                        repeats.push((offset, first));
+                        continue;
+                    }
+                    if let Some(cached) = cache.get(key) {
+                        costs.extend_from_slice(cached.as_slice());
+                        continue;
+                    }
+                }
+                costs.resize(offset + len, 0.0);
+                if missed.is_empty() {
+                    missed = recycle(std::mem::take(parked));
+                    predict.reset_features();
+                }
+                missed_at.push((key, offset));
+                missed.push(SweepRows { models, rows: len });
+                predict.append_features_with_encoding(
+                    sweep.node,
+                    sweep.partitions,
+                    sweep.meta,
+                    words.input_encoding,
+                );
             }
-        }
-        Err(Miss {
-            signatures,
-            input_encoding: job.input_encoding,
-            key,
-        })
-    }
+            let candidates = costs.len();
+            self.invocations.add(candidates as u64);
 
-    /// Cost a candidate sweep through the cache.
-    fn cost_sweep(&self, node: &PhysicalNode, partitions: &[usize], meta: &JobMeta) -> CachedCosts {
-        self.lookup(node, partitions, meta).unwrap_or_else(|miss| {
-            let costs = self.predict_sweep(
-                &miss.signatures,
-                node,
-                partitions,
-                meta,
-                miss.input_encoding,
-            );
-            if let Some(cache) = &self.cache {
-                cache.insert(miss.key, costs.clone());
+            if !missed.is_empty() {
+                let mut rows = self.predictor.predict_sweep_rows(&missed, predict);
+                for (&(key, offset), sweep) in missed_at.iter().zip(&missed) {
+                    let (own, rest) = rows.split_at(sweep.rows);
+                    rows = rest;
+                    let slots = &mut costs[offset..offset + sweep.rows];
+                    for (slot, b) in slots.iter_mut().zip(own) {
+                        *slot = clamp_cost(b.combined);
+                    }
+                    if let Some(cache) = &self.cache {
+                        cache.insert(key, CachedCosts::collect(slots.iter().copied()));
+                    }
+                }
+                for &(offset, first) in repeats.iter() {
+                    let from = missed_at[first].1;
+                    costs.copy_within(from..from + missed[first].rows, offset);
+                }
+                *parked = recycle(missed);
             }
-            costs
+            read(costs)
         })
     }
 }
 
-/// What [`LearnedCostModel::lookup`] already derived for a sweep it did not find.
-struct Miss {
-    signatures: SignatureSet,
-    input_encoding: f64,
-    key: u64,
+/// The candidate counts the analytical strategy probes each operator at.
+static PROBES: [usize; 2] = [1, 256];
+
+/// The two one-candidate sweeps probing `node` at [`PROBES`].
+fn probes<'a>(node: &'a PhysicalNode, meta: &'a JobMeta) -> [SweepSpec<'a>; 2] {
+    [0, 1].map(|i| SweepSpec {
+        node,
+        partitions: &PROBES[i..=i],
+        meta,
+    })
+}
+
+/// Section 5.3: express cost(P) ≈ θ_P / P + θ_C · P from the costs `c1`, `c2`
+/// at the two [`PROBES`] by solving the 2×2 system.  Two look-ups per
+/// operator, whatever the partition range, is what makes the analytical
+/// strategy ~20× cheaper than sampling.
+fn coefficients_from_probes(c1: f64, c2: f64) -> Option<(f64, f64)> {
+    let p1 = PROBES[0] as f64;
+    let p2 = PROBES[1] as f64;
+    // c1 = θp/p1 + θc·p1 ; c2 = θp/p2 + θc·p2
+    let det = p2 / p1 - p1 / p2;
+    if det.abs() < 1e-12 {
+        return None;
+    }
+    let theta_c = (c2 / p1 - c1 / p2) / det;
+    let theta_p = (c1 - theta_c * p1) * p1;
+    Some((theta_p, theta_c))
 }
 
 impl CostModel for LearnedCostModel {
     fn exclusive_cost(&self, node: &PhysicalNode, partitions: usize, meta: &JobMeta) -> f64 {
-        self.invocations.add(1);
-        self.cost_sweep(node, &[partitions], meta).as_slice()[0]
+        let sweep = SweepSpec {
+            node,
+            partitions: std::slice::from_ref(&partitions),
+            meta,
+        };
+        self.with_costs([sweep], |costs| costs[0])
     }
 
     fn exclusive_cost_batch(
@@ -529,89 +620,48 @@ impl CostModel for LearnedCostModel {
         partitions: &[usize],
         meta: &JobMeta,
     ) -> Vec<f64> {
-        // One signature computation + one model lookup per family for the whole
-        // candidate set (the batched invocation path of resource-aware planning),
-        // and on a repeat sweep of a recurring operator a single cache lookup.
-        self.invocations.add(partitions.len() as u64);
-        self.cost_sweep(node, partitions, meta).as_slice().to_vec()
+        let sweep = SweepSpec {
+            node,
+            partitions,
+            meta,
+        };
+        self.with_costs([sweep], <[f64]>::to_vec)
     }
 
     fn exclusive_cost_sweeps(&self, sweeps: &[SweepSpec]) -> Vec<Vec<f64>> {
-        // The coalescing seam: sweeps from many concurrent jobs arrive in one
-        // call.  Cache hits resolve individually; the misses are grouped by
-        // signature set and each group's feature rows are extracted into ONE
-        // shared matrix and pushed through the predictor in a single pass, so a
-        // batch of J jobs sweeping the same recurring operator pays one model
-        // resolution instead of J.  Bit-identity with the per-sweep path holds
-        // because prediction is row-independent (pinned by the inference
-        // equivalence tests) and each sweep's rows stay contiguous in order.
-        let total: usize = sweeps.iter().map(|s| s.partitions.len()).sum();
-        self.invocations.add(total as u64);
+        self.with_costs(sweeps.iter().copied(), |mut costs| {
+            sweeps
+                .iter()
+                .map(|sweep| {
+                    let (own, rest) = costs.split_at(sweep.partitions.len());
+                    costs = rest;
+                    own.to_vec()
+                })
+                .collect()
+        })
+    }
 
-        let mut results: Vec<Option<Vec<f64>>> = (0..sweeps.len()).map(|_| None).collect();
-        // Misses grouped by signature set; BTreeMap for deterministic group
-        // order.  Values are sweep indices (rows are appended in index order),
-        // each with its cache key and its job's input encoding.
-        let mut groups: BTreeMap<SignatureSet, Vec<(usize, u64, f64)>> = BTreeMap::new();
-
-        for (i, sweep) in sweeps.iter().enumerate() {
-            match self.lookup(sweep.node, sweep.partitions, sweep.meta) {
-                Ok(costs) => results[i] = Some(costs.as_slice().to_vec()),
-                Err(miss) => groups.entry(miss.signatures).or_default().push((
-                    i,
-                    miss.key,
-                    miss.input_encoding,
-                )),
-            }
-        }
-
-        for (signatures, members) in &groups {
-            SWEEP_SCRATCH.with_borrow_mut(|scratch| {
-                scratch.reset_features();
-                for &(i, _, input_encoding) in members {
-                    let SweepSpec {
-                        node,
-                        partitions,
-                        meta,
-                    } = sweeps[i];
-                    scratch.append_features_with_encoding(node, partitions, meta, input_encoding);
-                }
-                let mut rows = self.predictor.predict_scratch(signatures, scratch);
-                for &(i, key, _) in members {
-                    let (own, rest) = rows.split_at(sweeps[i].partitions.len());
-                    rows = rest;
-                    let costs: Vec<f64> = own.iter().map(|b| clamp_cost(b.combined)).collect();
-                    if let Some(cache) = &self.cache {
-                        cache.insert(key, CachedCosts::collect(costs.iter().copied()));
-                    }
-                    results[i] = Some(costs);
-                }
-            });
-        }
-
-        results
-            .into_iter()
-            .map(|r| r.expect("every sweep costed"))
-            .collect()
+    fn exclusive_cost_sweeps_into(&self, sweeps: &[SweepSpec], out: &mut Vec<f64>) {
+        self.with_costs(sweeps.iter().copied(), |costs| out.extend_from_slice(costs));
     }
 
     fn partition_coefficients(&self, node: &PhysicalNode, meta: &JobMeta) -> Option<(f64, f64)> {
-        // Section 5.3: express cost(P) ≈ θ_P / P + θ_C · P by probing the learned model
-        // at two partition counts and solving the 2×2 system.  This keeps the number of
-        // model look-ups per operator constant (2), which is what makes the analytical
-        // strategy ~20× cheaper than sampling.
-        let p1 = 1.0f64;
-        let p2 = 256.0f64;
-        let c1 = self.exclusive_cost(node, p1 as usize, meta);
-        let c2 = self.exclusive_cost(node, p2 as usize, meta);
-        // c1 = θp/p1 + θc·p1 ; c2 = θp/p2 + θc·p2
-        let det = p2 / p1 - p1 / p2;
-        if det.abs() < 1e-12 {
-            return None;
-        }
-        let theta_c = (c2 / p1 - c1 / p2) / det;
-        let theta_p = (c1 - theta_c * p1) * p1;
-        Some((theta_p, theta_c))
+        self.with_costs(probes(node, meta), |c| coefficients_from_probes(c[0], c[1]))
+    }
+
+    fn partition_coefficients_batch(
+        &self,
+        nodes: &[&PhysicalNode],
+        meta: &JobMeta,
+        out: &mut Vec<Option<(f64, f64)>>,
+    ) {
+        self.with_costs(nodes.iter().flat_map(|node| probes(node, meta)), |costs| {
+            out.extend(
+                costs
+                    .chunks_exact(2)
+                    .map(|c| coefficients_from_probes(c[0], c[1])),
+            )
+        });
     }
 
     fn name(&self) -> &str {

@@ -27,8 +27,8 @@
 //!   epochs running in parallel with drift-aware window eviction, and the
 //!   [`sharding::ServingPool`] of shard-pinned, work-stealing worker threads,
 //! * [`serving`] — the async serving front end: open-loop arrivals, bounded
-//!   admission with shed/delay backpressure, and cross-job batch coalescing
-//!   into single merged feature-matrix costing passes,
+//!   admission with shed/delay backpressure, and coalescing of requests into
+//!   pool batches behind a backlog,
 //! * [`scenario`] — the workload-scenario DSL: declarative suites (drift
 //!   ramps, flash crowds, tenant arrival/churn, adversarial signature floods,
 //!   cold-start storms) compiled into deterministic, seeded multi-cluster job

@@ -15,8 +15,10 @@ use cleo_mlkit::gbt::FastTreeRegressor;
 use cleo_mlkit::model::Regressor;
 use cleo_mlkit::{Dataset, FeatureMatrix};
 
+use cleo_common::scratch::recycle;
 use cleo_common::{CleoError, Result};
 use cleo_engine::physical::{JobMeta, PhysicalNode};
+use cleo_optimizer::SweepSpec;
 
 use crate::features::{extract_features, feature_count, feature_name_strings};
 use crate::signature::{signature_set, ModelFamily, SignatureSet};
@@ -586,38 +588,6 @@ impl ModelStore {
             .map(|m| m.model.predict_row(features).clamp(m.floor, m.ceiling))
     }
 
-    /// Predict many feature rows that share a signature, if a model covers it.
-    ///
-    /// One hash lookup for the whole batch; the rows then run through the
-    /// model's [`Regressor::predict_batch`] over the flat matrix.  This is the
-    /// path stage-level partition exploration uses (same operator, many
-    /// candidate counts).
-    pub fn predict_batch(&self, signature: u64, rows: &FeatureMatrix) -> Option<Vec<f64>> {
-        let mut out = Vec::with_capacity(rows.n_rows());
-        self.predict_batch_into(signature, rows, &mut out)
-            .then_some(out)
-    }
-
-    /// Allocation-free batched prediction: append one clamped prediction per row
-    /// onto `out` and return `true` iff a model covers the signature.
-    pub fn predict_batch_into(
-        &self,
-        signature: u64,
-        rows: &FeatureMatrix,
-        out: &mut Vec<f64>,
-    ) -> bool {
-        match self.models.get(&signature) {
-            Some(m) => {
-                // Inverse target transform and range clamp fused into a single
-                // epilogue pass over the fresh predictions.
-                m.model
-                    .predict_batch_clamped_into(rows, out, m.floor, m.ceiling);
-                true
-            }
-            None => false,
-        }
-    }
-
     /// The raw feature weights of every model in the store (for Figures 5, 6, 16).
     pub fn weight_vectors(&self) -> Vec<Vec<f64>> {
         self.models
@@ -715,6 +685,15 @@ impl PredictionBreakdown {
             ModelFamily::OpSubgraphApprox => self.op_subgraph_approx,
             ModelFamily::OpInput => self.op_input,
             ModelFamily::Operator => self.operator,
+        }
+    }
+
+    fn family_mut(&mut self, family: ModelFamily) -> &mut Option<f64> {
+        match family {
+            ModelFamily::OpSubgraph => &mut self.op_subgraph,
+            ModelFamily::OpSubgraphApprox => &mut self.op_subgraph_approx,
+            ModelFamily::OpInput => &mut self.op_input,
+            ModelFamily::Operator => &mut self.operator,
         }
     }
 
@@ -926,13 +905,44 @@ impl CombinedModel {
     }
 }
 
-/// Reused buffers for one batched prediction sweep (per-family predictions,
+/// The per-signature models serving one signature set, one slot per family in
+/// [`ModelFamily::all`] order (`None` where the family does not cover it).
+/// Resolved once per sweep: the cache salt and the prediction read the same
+/// four store probes.
+#[derive(Debug, Clone, Copy)]
+pub(crate) struct ResolvedModels<'a>([Option<&'a StoredModel>; 4]);
+
+impl ResolvedModels<'_> {
+    /// Identity hash of the resolved models: their fingerprints (0 for an
+    /// uncovered family) folded in family order — see
+    /// [`CleoPredictor::signature_salt`].
+    pub(crate) fn salt(&self) -> u64 {
+        use cleo_common::hash::StableHasher;
+        let mut h = StableHasher::new();
+        for model in self.0 {
+            h.write_u64(model.map_or(0, |m| m.fingerprint));
+        }
+        h.finish()
+    }
+}
+
+/// One sweep of a multi-sweep prediction pass: the models serving it and how
+/// many consecutive rows of the pass's feature matrix are its.
+#[derive(Debug, Clone, Copy)]
+pub(crate) struct SweepRows<'a> {
+    pub(crate) models: ResolvedModels<'a>,
+    pub(crate) rows: usize,
+}
+
+/// Reused buffers for one batched prediction pass (per-family predictions,
 /// meta-feature rows, breakdowns, and combined outputs).  Private to the
 /// predictor; exposed through [`PredictScratch`].
 #[derive(Debug, Default)]
 struct SweepBuffers {
-    family_preds: [Vec<f64>; 4],
-    family_covered: [bool; 4],
+    /// The pass's sweeps, parked between passes (see
+    /// [`cleo_common::scratch::recycle`]).
+    sweeps: Vec<SweepRows<'static>>,
+    family_preds: Vec<f64>,
     breakdowns: Vec<PredictionBreakdown>,
     meta_rows: FeatureMatrix,
     combined: Vec<f64>,
@@ -1082,16 +1092,17 @@ impl CleoPredictor {
     /// this into its keys so a delta publish can share the incumbent's cache
     /// yet never serve a stale cost for a refit signature.
     pub fn signature_salt(&self, signatures: &SignatureSet) -> u64 {
-        use cleo_common::hash::StableHasher;
-        let mut h = StableHasher::new();
-        for family in ModelFamily::all() {
-            let fp = self
-                .store(family)
-                .and_then(|s| s.fingerprint_of(signatures.for_family(family)))
-                .unwrap_or(0);
-            h.write_u64(fp);
-        }
-        h.finish()
+        self.resolve(signatures).salt()
+    }
+
+    /// The per-signature models serving `signatures`: one store probe per
+    /// family.
+    pub(crate) fn resolve(&self, signatures: &SignatureSet) -> ResolvedModels<'_> {
+        ResolvedModels(ModelFamily::all().map(|family| {
+            self.store(family)
+                .and_then(|s| s.models.get(&signatures.for_family(family)))
+                .map(|model| &**model)
+        }))
     }
 
     /// The combined meta-model.
@@ -1177,6 +1188,32 @@ impl CleoPredictor {
         self.predict_scratch(&signatures, scratch)
     }
 
+    /// Per-family + combined predictions for many candidate sweeps — of
+    /// different operators, possibly of different jobs — in one pass: each
+    /// sweep's rows run through the per-family models serving it, and the
+    /// combined meta-model runs once over every row.  Sweep `k`'s breakdowns
+    /// follow sweep `k - 1`'s in the returned slice, each bit-identical to
+    /// [`CleoPredictor::predict_candidates_with`] of that sweep alone
+    /// (prediction is row-independent).
+    pub fn predict_sweeps_with<'a>(
+        &self,
+        sweeps: &[SweepSpec],
+        scratch: &'a mut PredictScratch,
+    ) -> &'a [PredictionBreakdown] {
+        scratch.reset_features();
+        let mut rows: Vec<SweepRows<'_>> = recycle(std::mem::take(&mut scratch.bufs.sweeps));
+        for sweep in sweeps {
+            scratch.append_features(sweep.node, sweep.partitions, sweep.meta);
+            rows.push(SweepRows {
+                models: self.resolve(&signature_set(sweep.node, sweep.meta)),
+                rows: sweep.partitions.len(),
+            });
+        }
+        self.predict_sweep_rows(&rows, scratch);
+        scratch.bufs.sweeps = recycle(rows);
+        &scratch.bufs.breakdowns
+    }
+
     /// Batched prediction over feature rows that share one signature set.
     /// Allocating convenience wrapper over [`CleoPredictor::predict_scratch`].
     pub fn predict_batch_from_parts(
@@ -1184,8 +1221,12 @@ impl CleoPredictor {
         signatures: &SignatureSet,
         feature_rows: &FeatureMatrix,
     ) -> Vec<PredictionBreakdown> {
+        let sweep = SweepRows {
+            models: self.resolve(signatures),
+            rows: feature_rows.n_rows(),
+        };
         let mut bufs = SweepBuffers::default();
-        self.predict_rows_into(signatures, feature_rows, &mut bufs);
+        self.predict_rows_into(&[sweep], feature_rows, &mut bufs);
         bufs.breakdowns
     }
 
@@ -1197,16 +1238,31 @@ impl CleoPredictor {
         signatures: &SignatureSet,
         scratch: &'a mut PredictScratch,
     ) -> &'a [PredictionBreakdown] {
+        let sweep = SweepRows {
+            models: self.resolve(signatures),
+            rows: scratch.features.n_rows(),
+        };
+        self.predict_sweep_rows(&[sweep], scratch)
+    }
+
+    /// The pass over `scratch.features`, whose rows are `sweeps`' rows in
+    /// order.
+    pub(crate) fn predict_sweep_rows<'a>(
+        &self,
+        sweeps: &[SweepRows<'_>],
+        scratch: &'a mut PredictScratch,
+    ) -> &'a [PredictionBreakdown] {
         let PredictScratch { features, bufs } = scratch;
-        self.predict_rows_into(signatures, features, bufs);
+        self.predict_rows_into(sweeps, features, bufs);
         &bufs.breakdowns
     }
 
-    /// The shared batched-prediction core: one store lookup per family, one
-    /// strided batch prediction per covered family, one combined-model pass.
+    /// The shared batched-prediction core: per sweep, one strided batch
+    /// prediction per covered family over the sweep's rows; then one
+    /// combined-model pass over all rows.
     fn predict_rows_into(
         &self,
-        signatures: &SignatureSet,
+        sweeps: &[SweepRows<'_>],
         rows: &FeatureMatrix,
         bufs: &mut SweepBuffers,
     ) {
@@ -1214,35 +1270,33 @@ impl CleoPredictor {
         if rows.n_rows() == 0 {
             return;
         }
-        let families = ModelFamily::all();
-        for (i, &family) in families.iter().enumerate() {
-            bufs.family_preds[i].clear();
-            bufs.family_covered[i] = self.store(family).is_some_and(|s| {
-                s.predict_batch_into(
-                    signatures.for_family(family),
+        let mut start = 0;
+        for sweep in sweeps {
+            let range = start..start + sweep.rows;
+            start = range.end;
+            bufs.breakdowns
+                .resize(range.end, PredictionBreakdown::default());
+            for (family, model) in ModelFamily::all().into_iter().zip(sweep.models.0) {
+                let Some(m) = model else { continue };
+                bufs.family_preds.clear();
+                m.model.predict_rows_clamped_into(
                     rows,
-                    &mut bufs.family_preds[i],
-                )
-            });
-        }
-        for i in 0..rows.n_rows() {
-            // Bind each buffer slot to its breakdown field through the family
-            // it was filled for, so reordering `ModelFamily::all()` can never
-            // silently cross-wire predictions.
-            let mut breakdown = PredictionBreakdown::default();
-            for (k, &family) in families.iter().enumerate() {
-                if bufs.family_covered[k] {
-                    let value = Some(bufs.family_preds[k][i]);
-                    match family {
-                        ModelFamily::OpSubgraph => breakdown.op_subgraph = value,
-                        ModelFamily::OpSubgraphApprox => breakdown.op_subgraph_approx = value,
-                        ModelFamily::OpInput => breakdown.op_input = value,
-                        ModelFamily::Operator => breakdown.operator = value,
-                    }
+                    range.clone(),
+                    &mut bufs.family_preds,
+                    m.floor,
+                    m.ceiling,
+                );
+                // Written through the family the prediction was made for, so
+                // reordering `ModelFamily::all()` cannot cross-wire fields.
+                for (b, &value) in bufs.breakdowns[range.clone()]
+                    .iter_mut()
+                    .zip(&bufs.family_preds)
+                {
+                    *b.family_mut(family) = Some(value);
                 }
             }
-            bufs.breakdowns.push(breakdown);
         }
+        debug_assert_eq!(start, rows.n_rows(), "sweeps must cover the rows");
         bufs.combined.clear();
         self.combined.predict_batch_into(
             &bufs.breakdowns,

@@ -14,19 +14,21 @@
 //! ([`FrontDoorConfig::coalesce_max`] jobs) queued and unclaimed there.  Only
 //! behind such a backlog, where it could not have started anyway, is it held
 //! and merged with later same-shard arrivals into one batch of at most
-//! `coalesce_max` jobs, executed by [`serve_batch`] (every job's deferred
-//! final costing in one merged [`cleo_optimizer::SweepSpec`] pass per served
-//! model).  A held batch leaves when it is full, or with the next offer (to
-//! any shard) that finds the backlog below a full batch, or at the drain.
+//! `coalesce_max` jobs, executed by [`serve_batch`].  A held batch leaves when
+//! it is full, or with the next offer (to any shard) that finds the backlog
+//! below a full batch, or at the drain.
 //!
-//! What batching buys is measured, and it is not service time: on a warm
-//! prediction cache eight jobs cost the same merged as one by one (cleobench
-//! `serving.coalesce_gain` 0.99–1.02).  It buys hand-off amortisation under
-//! backlog, one queue push, wake-up and ticket per batch instead of per job:
-//! without it (`coalesce_max = 1`) a saturated single-worker pool serves a
-//! fifth fewer jobs per second (cleobench `open_sat`, 39.4K → 31.7K).  Holding
-//! a request at an idle pool bought nothing and cost its whole latency, which
-//! is why the hold is conditional.
+//! What batching buys is measured, and it is not service time: each job of a
+//! batch is optimized as it would be alone, and each already costs every step
+//! of its optimization in one model call (a job's cache misses share one
+//! predictor pass).  Merging the final costing of a whole batch into one call
+//! as well was measured and removed: it was slower than costing job by job,
+//! cold or warm (README, *Ablation ledger*).  Batching buys hand-off
+//! amortisation under backlog, one queue push, wake-up and ticket per batch
+//! instead of per job: without it (`coalesce_max = 1`) a saturated
+//! single-worker pool serves a fifth fewer jobs per second (cleobench
+//! `open_sat`, 39.4K → 31.7K).  Holding a request at an idle pool bought
+//! nothing and cost its whole latency, which is why the hold is conditional.
 //!
 //! Results stay bit-deterministic: whatever batches form, each is identical
 //! to optimizing its jobs alone (pinned by the serving tests), and the arrival
@@ -42,119 +44,23 @@ use cleo_common::obs::{self, Obs, TraceEvent};
 use cleo_common::rng::DetRng;
 use cleo_common::{CleoError, Result};
 use cleo_engine::workload::JobSpec;
-use cleo_optimizer::{
-    CostModel, OptimizedPlan, Optimizer, SharedOptimizer, SnapshotCache, SweepSpec,
-};
+use cleo_optimizer::{OptimizedPlan, SharedOptimizer, SnapshotCache};
 
 use crate::sharding::{ServingPool, Ticket};
 
-/// Optimize a batch of jobs against one [`SharedOptimizer`], coalescing the
-/// deferred final plan costing of all jobs that were served by the **same
-/// model snapshot** into one merged [`CostModel::exclusive_cost_sweeps`] call.
-///
-/// Per job this runs enumeration + partition optimization exactly as
-/// [`SharedOptimizer::optimize`] would (through the worker-local `cache`, so
-/// an unchanged route takes no registry lock); what is coalesced is the final
-/// whole-plan costing pass, which [`Optimizer::optimize_deferred`] leaves
-/// pending.  Results are returned in job order and are bit-identical to
-/// optimizing each job alone: sweeps are appended in each plan's operator
-/// order and summed per plan in that same order, and prediction itself is
-/// row-independent.
+/// Optimize a batch of jobs against one [`SharedOptimizer`], in job order,
+/// each through the worker-local `cache` (an unchanged route takes no
+/// registry lock).  Every job is costed exactly as
+/// [`SharedOptimizer::optimize_cached`] costs it alone: batching amortises the
+/// hand-off to the pool, not the costing (see the module docs).
 pub fn serve_batch(
     shared: &SharedOptimizer,
     jobs: &[Arc<JobSpec>],
     cache: &mut SnapshotCache,
 ) -> Vec<Result<OptimizedPlan>> {
-    struct Staged {
-        optimized: OptimizedPlan,
-        final_cost_pending: bool,
-        model: Arc<dyn CostModel>,
-    }
-
-    let config = *shared.config();
-    let provider = shared.provider();
-    let mut staged: Vec<Result<Staged>> = Vec::with_capacity(jobs.len());
-    for job in jobs {
-        let served = cache.get(provider.as_ref(), &job.meta).clone();
-        let result = Optimizer::new(served.model.as_ref(), config)
-            .optimize_deferred(job)
-            .map(|(mut optimized, final_cost_pending)| {
-                optimized.stats.model_version = served.version;
-                optimized.stats.model_cluster = served.cluster;
-                optimized.stats.model_delta_base = served.delta_base;
-                Staged {
-                    optimized,
-                    final_cost_pending,
-                    model: served.model,
-                }
-            });
-        staged.push(result);
-    }
-
-    // Group the plans still awaiting their final costing by served-model
-    // identity (same `Arc` allocation = same snapshot), in first-seen order so
-    // the grouping is a pure function of the job order.
-    let mut groups: Vec<(*const (), Vec<usize>)> = Vec::new();
-    for (i, s) in staged.iter().enumerate() {
-        if let Ok(s) = s {
-            if s.final_cost_pending {
-                let ptr = Arc::as_ptr(&s.model) as *const ();
-                match groups.iter_mut().find(|(p, _)| *p == ptr) {
-                    Some((_, members)) => members.push(i),
-                    None => groups.push((ptr, vec![i])),
-                }
-            }
-        }
-    }
-
-    for (_, members) in &groups {
-        let model = match &staged[members[0]] {
-            Ok(s) => Arc::clone(&s.model),
-            Err(_) => unreachable!("groups only hold Ok entries"),
-        };
-        // Arena of candidate partition counts: every sweep is the plan
-        // operator at its chosen count, and the slices must outlive the merged
-        // call below.
-        let mut arena: Vec<usize> = Vec::new();
-        for &i in members.iter() {
-            if let Ok(s) = &staged[i] {
-                for op in s.optimized.plan.operators() {
-                    arena.push(op.partition_count);
-                }
-            }
-        }
-        let mut sweeps: Vec<SweepSpec> = Vec::with_capacity(arena.len());
-        let mut k = 0;
-        for &i in members.iter() {
-            if let Ok(s) = &staged[i] {
-                for op in s.optimized.plan.operators() {
-                    sweeps.push(SweepSpec {
-                        node: op,
-                        partitions: &arena[k..k + 1],
-                        meta: &s.optimized.plan.meta,
-                    });
-                    k += 1;
-                }
-            }
-        }
-        let costs = model.exclusive_cost_sweeps(&sweeps);
-        drop(sweeps);
-
-        // Scatter: each plan's estimated cost is the sum of its operators'
-        // costs in operator order — the exact fold `total_plan_cost` performs.
-        let mut offset = 0;
-        for &i in members.iter() {
-            if let Ok(s) = staged[i].as_mut() {
-                let ops = s.optimized.plan.op_count();
-                s.optimized.estimated_cost = costs[offset..offset + ops].iter().map(|c| c[0]).sum();
-                s.optimized.stats.model_invocations += ops;
-                s.final_cost_pending = false;
-                offset += ops;
-            }
-        }
-    }
-
-    staged.into_iter().map(|r| r.map(|s| s.optimized)).collect()
+    jobs.iter()
+        .map(|job| shared.optimize_cached(job, cache))
+        .collect()
 }
 
 /// What the front door does with a request that arrives past the admission

@@ -51,8 +51,7 @@ impl ModelFamily {
     }
 }
 
-/// The four signatures of one operator instance.  `Ord` so coalesced costing
-/// can group sweeps in a deterministic (key-sorted) order.
+/// The four signatures of one operator instance.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
 pub struct SignatureSet {
     /// Exact subgraph signature.

@@ -125,9 +125,8 @@ fn coalesced_batches_are_bit_identical_to_per_job_serving() {
     // Reference: each job optimized alone through the plain serving path.
     let reference: Vec<_> = jobs.iter().map(|j| shared.optimize(j).unwrap()).collect();
 
-    // Coalesced: the whole stream as one batch (mixed model snapshots — the
-    // batch spans all four shards, so grouping by served model must scatter
-    // results back to the right jobs).
+    // Coalesced: the whole stream as one batch, spanning all four shards'
+    // model snapshots.
     let mut cache = SnapshotCache::new();
     let coalesced = serve_batch(&shared, &jobs, &mut cache);
     assert_eq!(coalesced.len(), reference.len());

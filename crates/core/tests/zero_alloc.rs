@@ -438,3 +438,127 @@ fn signatures_of_a_fresh_parent_allocate_nothing() {
         "signing a fresh parent over signed children must not allocate"
     );
 }
+
+/// Operators of the first ten plans of the fixture's telemetry, grouped per
+/// plan: each group is one multi-sweep cost call of one-candidate sweeps,
+/// the shape of an enumeration level or a final cost fold.
+fn plan_levels(
+    log: &cleo_engine::telemetry::TelemetryLog,
+) -> Vec<Vec<cleo_optimizer::SweepSpec<'_>>> {
+    log.jobs()
+        .iter()
+        .take(10)
+        .map(|job| {
+            job.plan
+                .operators()
+                .into_iter()
+                .map(|node| cleo_optimizer::SweepSpec::at_own_count(node, &job.plan.meta))
+                .collect()
+        })
+        .collect()
+}
+
+/// The multi-sweep entry point allocates nothing in steady state: neither on
+/// a level whose sweeps all hit the cache, nor — once a first pass has grown
+/// the scratch buffers and the cache's maps — on a level whose sweeps all
+/// miss and go through one predictor pass.
+#[test]
+fn multi_sweep_cost_calls_allocate_nothing_warm_or_cold() {
+    let workload = generate_cluster_workload(&ClusterConfig::small(ClusterId(0)), 2);
+    let heuristic = HeuristicCostModel::default_model();
+    let simulator = Simulator::new(SimulatorConfig::default());
+    let jobs: Vec<_> = workload.jobs.iter().take(40).collect();
+    let log =
+        pipeline::run_jobs(&jobs, &heuristic, OptimizerConfig::default(), &simulator).unwrap();
+    let model =
+        LearnedCostModel::new(pipeline::train_predictor(&log, TrainerConfig::default()).unwrap());
+    let levels = plan_levels(&log);
+    let mut out: Vec<f64> = Vec::with_capacity(1024);
+    let mut cost_all = || -> f64 {
+        let mut total = 0.0;
+        for level in &levels {
+            out.clear();
+            model.exclusive_cost_sweeps_into(level, &mut out);
+            total += out.iter().sum::<f64>();
+        }
+        total
+    };
+
+    // Warm-up: every buffer and cache map reaches its steady-state size.
+    let reference = cost_all();
+    let sweeps: usize = levels.iter().map(Vec::len).sum();
+    assert!(sweeps > 40, "{sweeps} sweeps");
+    for (pass, cold) in [("cold", true), ("warm", false)] {
+        if cold {
+            model.clear_cache();
+        }
+        let before_stats = model.cache_stats();
+        let before = allocations();
+        let total = cost_all();
+        let allocated = allocations() - before;
+        let stats = model.cache_stats();
+        assert_eq!(total.to_bits(), reference.to_bits(), "{pass} pass");
+        let lookups = (stats.hits + stats.misses) - (before_stats.hits + before_stats.misses);
+        assert_eq!(lookups, sweeps, "{pass} pass");
+        if cold {
+            assert!(stats.misses > 0, "the cold pass must miss");
+        } else {
+            assert_eq!(
+                stats.misses, before_stats.misses,
+                "the warm pass must only hit"
+            );
+        }
+        assert_eq!(
+            allocated, 0,
+            "{pass} multi-sweep cost calls must not allocate (got {allocated} over {sweeps} sweeps)"
+        );
+    }
+}
+
+/// Allocations of optimizing the fixture's first ten jobs with a warm cache,
+/// per optimizer configuration, captured before the optimizer costed each
+/// enumeration level and exploration phase in one call: a ceiling the batched
+/// path may not exceed (it made 2302 and 1954 when it landed).
+const WARM_OPTIMIZE_ALLOCATIONS_BEFORE_BATCHING: [(&str, usize); 2] =
+    [("resource_aware", 2858), ("default", 2546)];
+
+/// A warm `Optimizer::optimize` allocates no more blocks than before the
+/// optimizer costed whole levels and phases in one call.
+#[test]
+fn warm_optimize_allocates_no_more_than_before_batching() {
+    use cleo_optimizer::Optimizer;
+    let workload = generate_cluster_workload(&ClusterConfig::small(ClusterId(0)), 2);
+    let heuristic = HeuristicCostModel::default_model();
+    let simulator = Simulator::new(SimulatorConfig::default());
+    let jobs: Vec<_> = workload.jobs.iter().take(40).collect();
+    let log =
+        pipeline::run_jobs(&jobs, &heuristic, OptimizerConfig::default(), &simulator).unwrap();
+    let model =
+        LearnedCostModel::new(pipeline::train_predictor(&log, TrainerConfig::default()).unwrap());
+    let fixture: Vec<_> = workload.jobs.iter().take(10).collect();
+    for (name, ceiling) in WARM_OPTIMIZE_ALLOCATIONS_BEFORE_BATCHING {
+        let config = match name {
+            "resource_aware" => OptimizerConfig::resource_aware(),
+            _ => OptimizerConfig::default(),
+        };
+        let optimizer = Optimizer::new(&model, config);
+        for job in &fixture {
+            optimizer.optimize(job).unwrap();
+        }
+        let misses = model.cache_stats().misses;
+        let before = allocations();
+        for job in &fixture {
+            std::hint::black_box(optimizer.optimize(job).unwrap());
+        }
+        let allocated = allocations() - before;
+        assert_eq!(
+            model.cache_stats().misses,
+            misses,
+            "{name}: the pass is warm"
+        );
+        assert!(
+            allocated <= ceiling,
+            "{name}: a warm optimize of ten jobs made {allocated} allocations, {ceiling} before batching"
+        );
+    }
+}

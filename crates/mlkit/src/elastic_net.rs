@@ -146,15 +146,20 @@ impl ElasticNet {
     }
 
     /// Append the raw linear term (`Σ x[j]·w[j]`, no intercept, no transform)
-    /// of every row onto `out`.  Full 8-row blocks run through the lane-blocked
-    /// SIMD dot kernel; the ragged tail falls back to the scalar loop.  Each
-    /// row's accumulation order is exactly `predict_row`'s
+    /// of rows `range` onto `out`.  Full 8-row blocks run through the
+    /// lane-blocked SIMD dot kernel; the ragged tail falls back to the scalar
+    /// loop.  Each row's accumulation order is exactly `predict_row`'s
     /// (`x[0]*w[0] + x[1]*w[1] + …`), so both paths are bit-identical.
-    fn linear_batch_into(&self, rows: &crate::matrix::FeatureMatrix, out: &mut Vec<f64>) {
+    fn linear_batch_into(
+        &self,
+        rows: &crate::matrix::FeatureMatrix,
+        range: std::ops::Range<usize>,
+        out: &mut Vec<f64>,
+    ) {
         let w = &self.weights;
-        let n = rows.n_rows();
-        let mut i = 0usize;
-        if n >= crate::simd::LANES {
+        let n = range.end;
+        let mut i = range.start;
+        if n - i >= crate::simd::LANES {
             crate::simd::with_lane_block(|block| {
                 while i + crate::simd::LANES <= n {
                     crate::simd::transpose_block(
@@ -184,12 +189,26 @@ impl ElasticNet {
         floor: f64,
         ceiling: f64,
     ) {
+        self.predict_rows_clamped_into(rows, 0..rows.n_rows(), out, floor, ceiling);
+    }
+
+    /// [`ElasticNet::predict_batch_clamped_into`] over rows `range` of the
+    /// matrix only: one model serving one slice of a matrix that other
+    /// models' rows share.
+    pub fn predict_rows_clamped_into(
+        &self,
+        rows: &crate::matrix::FeatureMatrix,
+        range: std::ops::Range<usize>,
+        out: &mut Vec<f64>,
+        floor: f64,
+        ceiling: f64,
+    ) {
         let start = out.len();
         if !self.fitted {
-            out.extend(rows.rows().map(|_| 0.0f64.clamp(floor, ceiling)));
+            out.extend(range.map(|_| 0.0f64.clamp(floor, ceiling)));
             return;
         }
-        self.linear_batch_into(rows, out);
+        self.linear_batch_into(rows, range, out);
         let t = self.config.target_transform;
         for p in &mut out[start..] {
             *p = t.inverse(*p + self.intercept).clamp(floor, ceiling);
@@ -322,7 +341,7 @@ impl Regressor for ElasticNet {
         // `predict_row` — x[0]*w[0] + x[1]*w[1] + … — so every prediction is
         // bit-identical to the row-by-row loop.
         let start = out.len();
-        self.linear_batch_into(rows, out);
+        self.linear_batch_into(rows, 0..rows.n_rows(), out);
         let t = self.config.target_transform;
         for p in &mut out[start..] {
             *p = t.inverse(*p + self.intercept);

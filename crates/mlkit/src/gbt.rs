@@ -176,47 +176,6 @@ impl<const W: usize> FlatTables<W> {
     }
 }
 
-impl FlatTables<8> {
-    /// Depth-3 oblivious evaluation: all seven split comparisons of a tree are
-    /// computed unconditionally from *fixed* slots (no data-dependent load
-    /// chain), and arithmetic selection picks exactly the leaf the sequential
-    /// descent would reach — the padding sentinels make the extra comparisons
-    /// harmless and each comparison uses the descent's own `<=` predicate, so
-    /// the chosen leaf (and the prediction) is bit-identical.  The seven split
-    /// records are loaded once per tree and shared by all four rows.
-    #[inline]
-    fn accumulate4_oblivious(&self, lr: f64, rows: [&[f64]; 4], acc: &mut [f64; 4]) {
-        // `!(x <= t)` is deliberate: NaN parity with the sequential descent.
-        #[allow(clippy::neg_cmp_op_on_partial_ord)]
-        #[inline(always)]
-        fn leaf_of(srow: &[(u32, f64); 8], row: &[f64]) -> usize {
-            let c1 = usize::from(!(row[srow[1].0 as usize] <= srow[1].1));
-            let c2 = usize::from(!(row[srow[2].0 as usize] <= srow[2].1));
-            let c3 = usize::from(!(row[srow[3].0 as usize] <= srow[3].1));
-            let c4 = usize::from(!(row[srow[4].0 as usize] <= srow[4].1));
-            let c5 = usize::from(!(row[srow[5].0 as usize] <= srow[5].1));
-            let c6 = usize::from(!(row[srow[6].0 as usize] <= srow[6].1));
-            let c7 = usize::from(!(row[srow[7].0 as usize] <= srow[7].1));
-            let n2 = 2 + c1; // node visited at level 1 (2 or 3)
-            let b2 = [c2, c3][c1];
-            let n3 = 2 * n2 + b2; // node visited at level 2 (4..=7)
-            let b3 = [c4, c5, c6, c7][n3 - 4];
-            2 * n3 + b3 - 8 // leaf slot (0..=7)
-        }
-        let [r0, r1, r2, r3] = rows;
-        for (srow, lrow) in self.splits.iter().zip(&self.leaves) {
-            let l0 = leaf_of(srow, r0);
-            let l1 = leaf_of(srow, r1);
-            let l2 = leaf_of(srow, r2);
-            let l3 = leaf_of(srow, r3);
-            acc[0] += lr * lrow[l0];
-            acc[1] += lr * lrow[l1];
-            acc[2] += lr * lrow[l2];
-            acc[3] += lr * lrow[l3];
-        }
-    }
-}
-
 impl FlatEnsemble {
     fn build(trees: &[DecisionTreeRegressor]) -> Option<FlatEnsemble> {
         if trees.is_empty() || trees.len() > MAX_FLAT_TREES {
@@ -229,14 +188,6 @@ impl FlatEnsemble {
             0..=3 => Some(FlatEnsemble::W8(FlatTables::build(&parts))),
             4..=5 => Some(FlatEnsemble::W32(FlatTables::build(&parts))),
             _ => None,
-        }
-    }
-
-    #[inline]
-    fn accumulate4(&self, lr: f64, rows: [&[f64]; 4], acc: &mut [f64; 4]) {
-        match self {
-            FlatEnsemble::W8(t) => t.accumulate4_oblivious(lr, rows, acc),
-            FlatEnsemble::W32(t) => t.accumulate4(lr, rows, acc),
         }
     }
 }
@@ -384,15 +335,36 @@ impl Regressor for FastTreeRegressor {
     }
 
     fn predict_batch_into(&self, rows: &crate::matrix::FeatureMatrix, out: &mut Vec<f64>) {
+        self.predict_batch_with(crate::simd::active_isa(), rows, out);
+    }
+
+    fn is_fitted(&self) -> bool {
+        self.fitted
+    }
+
+    fn name(&self) -> &'static str {
+        "FastTree Regression"
+    }
+}
+
+impl FastTreeRegressor {
+    /// [`Regressor::predict_batch_into`] with the lane-block kernels pinned to
+    /// an explicit arm (`isa` must be [`crate::simd::Isa::supported`]); the
+    /// equivalence tests compare every arm against `predict_row`.
+    pub fn predict_batch_with(
+        &self,
+        isa: crate::simd::Isa,
+        rows: &crate::matrix::FeatureMatrix,
+        out: &mut Vec<f64>,
+    ) {
+        use crate::simd::LANES;
         if !self.fitted {
             out.extend(rows.rows().map(|_| 0.0));
             return;
         }
-        // Tree-outer traversal with four rows in flight: each tree's table
-        // stays hot in cache while the four independent descent chains overlap.
-        // Per row the additions still happen in tree order starting from the
-        // base prediction — the exact accumulation sequence of `predict_row` —
-        // so the results are bit-identical.
+        // Per row the additions happen in tree order starting from the base
+        // prediction — the exact accumulation sequence of `predict_row` — so
+        // every path below is bit-identical to it.
         let start = out.len();
         let n = rows.n_rows();
         out.resize(start + n, self.base_prediction);
@@ -401,32 +373,39 @@ impl Regressor for FastTreeRegressor {
         let mut i = 0usize;
         // Depth-3 ensembles take 8 rows per step through the lane-blocked
         // oblivious kernel (runtime-dispatched SIMD, see `crate::simd`): the
-        // row block is transposed once per 8 rows and every tree evaluates all
-        // seven splits across the block at once.
+        // row block is transposed once and every tree evaluates all seven
+        // splits across the block at once.  A ragged tail of two or more rows
+        // runs as one zero-padded block whose real lanes are kept; a single
+        // row is cheaper through the node walk below.
         if let Some(FlatEnsemble::W8(tables)) = &self.flat {
-            if n >= crate::simd::LANES {
+            if n >= 2 {
                 crate::simd::with_lane_block(|block| {
-                    while i + crate::simd::LANES <= n {
-                        crate::simd::transpose_block(
-                            rows.rows_flat(i, crate::simd::LANES),
+                    while n - i >= 2 {
+                        let count = (n - i).min(LANES);
+                        crate::simd::transpose_block_with(
+                            isa,
+                            rows.rows_flat(i, count),
                             rows.n_cols(),
                             block,
                         );
-                        let mut lanes = [0.0f64; crate::simd::LANES];
-                        lanes.copy_from_slice(&acc[i..i + crate::simd::LANES]);
-                        crate::simd::tree8_depth3_accumulate(
+                        let mut lanes = [0.0f64; LANES];
+                        lanes[..count].copy_from_slice(&acc[i..i + count]);
+                        crate::simd::tree8_depth3_accumulate_with(
+                            isa,
                             &tables.splits,
                             &tables.leaves,
                             lr,
                             block,
                             &mut lanes,
                         );
-                        acc[i..i + crate::simd::LANES].copy_from_slice(&lanes);
-                        i += crate::simd::LANES;
+                        acc[i..i + count].copy_from_slice(&lanes[..count]);
+                        i += count;
                     }
                 });
             }
         }
+        // Deeper ensembles: tree-outer traversal with four rows in flight, so
+        // each tree's table stays hot while the four descent chains overlap.
         while i + 4 <= n {
             let (r0, r1, r2, r3) = (
                 rows.row(i),
@@ -434,9 +413,9 @@ impl Regressor for FastTreeRegressor {
                 rows.row(i + 2),
                 rows.row(i + 3),
             );
-            if let Some(flat) = &self.flat {
+            if let Some(FlatEnsemble::W32(tables)) = &self.flat {
                 let mut quad = [acc[i], acc[i + 1], acc[i + 2], acc[i + 3]];
-                flat.accumulate4(lr, [r0, r1, r2, r3], &mut quad);
+                tables.accumulate4(lr, [r0, r1, r2, r3], &mut quad);
                 acc[i..i + 4].copy_from_slice(&quad);
             } else {
                 for tree in &self.trees {
@@ -457,14 +436,6 @@ impl Regressor for FastTreeRegressor {
         for a in acc {
             *a = self.config.target_transform.inverse(*a);
         }
-    }
-
-    fn is_fitted(&self) -> bool {
-        self.fitted
-    }
-
-    fn name(&self) -> &'static str {
-        "FastTree Regression"
     }
 }
 

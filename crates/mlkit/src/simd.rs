@@ -125,18 +125,27 @@ pub fn with_lane_block<R>(f: impl FnOnce(&mut Vec<f64>) -> R) -> R {
     })
 }
 
-/// Transpose [`LANES`] contiguous row-major rows (`rows.len() == LANES *
-/// n_cols`) into lane-major order: `block[j * LANES + lane] = rows[lane][j]`.
-/// The block keeps its allocation across calls (`resize` only grows).
-/// Pure data movement, so the arms are trivially identical; the AVX-512 arm
-/// moves 8×8 tiles with in-register shuffles instead of 64 strided stores.
+/// Transpose up to [`LANES`] contiguous row-major rows (`rows.len()` a
+/// multiple of `n_cols`, at most `LANES * n_cols`) into lane-major order:
+/// `block[j * LANES + lane] = rows[lane][j]`, with the lanes past the last row
+/// zeroed.  A ragged tail thus runs through the same 8-lane kernels as a full
+/// block, and every lane's result depends on its own row alone.  The block
+/// keeps its allocation across calls (`resize` only grows).  Pure data
+/// movement, so the arms are trivially identical; the AVX-512 arm moves full
+/// 8×8 tiles with in-register shuffles instead of 64 strided stores.
 pub fn transpose_block(rows: &[f64], n_cols: usize, block: &mut Vec<f64>) {
-    debug_assert_eq!(rows.len(), LANES * n_cols);
+    transpose_block_with(active_isa(), rows, n_cols, block)
+}
+
+/// [`transpose_block`] pinned to an explicit arm.
+pub fn transpose_block_with(isa: Isa, rows: &[f64], n_cols: usize, block: &mut Vec<f64>) {
+    debug_assert!(isa.supported());
+    debug_assert!(rows.len() <= LANES * n_cols && rows.len().is_multiple_of(n_cols.max(1)));
     if block.len() != n_cols * LANES {
         block.resize(n_cols * LANES, 0.0);
     }
     #[cfg(target_arch = "x86_64")]
-    if active_isa() == Isa::Avx512 {
+    if isa == Isa::Avx512 && rows.len() == LANES * n_cols {
         unsafe { transpose_block_avx512(rows, n_cols, block) };
         return;
     }
@@ -144,10 +153,17 @@ pub fn transpose_block(rows: &[f64], n_cols: usize, block: &mut Vec<f64>) {
 }
 
 fn transpose_block_scalar(rows: &[f64], n_cols: usize, block: &mut [f64]) {
+    let count = rows.len().checked_div(n_cols).unwrap_or(0);
     for lane in 0..LANES {
-        let row = &rows[lane * n_cols..(lane + 1) * n_cols];
-        for (j, &v) in row.iter().enumerate() {
-            block[j * LANES + lane] = v;
+        if lane < count {
+            let row = &rows[lane * n_cols..(lane + 1) * n_cols];
+            for (j, &v) in row.iter().enumerate() {
+                block[j * LANES + lane] = v;
+            }
+        } else {
+            for j in 0..n_cols {
+                block[j * LANES + lane] = 0.0;
+            }
         }
     }
 }

@@ -110,6 +110,40 @@ fn fasttree_depth3_batch_is_bit_identical_across_ragged_row_counts() {
     }
 }
 
+/// Every row count on every arm: whole 8-row blocks, a ragged tail of 2–7
+/// rows run as one zero-padded block, and a last single row through the node
+/// walk must each reproduce `predict_row` bit for bit.
+#[test]
+fn fasttree_depth3_padded_tail_is_bit_identical_on_every_arm() {
+    let mut rng = DetRng::new(9010);
+    let train = random_dataset(&mut rng, 64, 14);
+    let mut model = FastTreeRegressor::new(FastTreeConfig {
+        n_trees: 50,
+        max_depth: 3,
+        target_transform: TargetTransform::Identity,
+        ..FastTreeConfig::default()
+    });
+    model.fit(&train).unwrap();
+    let arms = supported_arms();
+    for n_rows in 1..=67 {
+        let rows = random_matrix(&mut rng, n_rows, 14);
+        for &isa in &arms {
+            let mut batch = vec![f64::NAN];
+            model.predict_batch_with(isa, &rows, &mut batch);
+            assert_eq!(batch.len(), n_rows + 1, "appends one value per row");
+            for (i, &got) in batch[1..].iter().enumerate() {
+                let want = model.predict_row(rows.row(i));
+                assert_eq!(
+                    got.to_bits(),
+                    want.to_bits(),
+                    "{}: row {i} of {n_rows} diverged: {got} vs {want}",
+                    isa.name()
+                );
+            }
+        }
+    }
+}
+
 #[test]
 fn fasttree_depth5_batch_stays_bit_identical() {
     // Depth-5 ensembles take the W32 quad path (no lane blocks); the batch

@@ -15,13 +15,19 @@
 //!   improves correlation slightly (0.04 → 0.10 in the paper) but cannot fix the
 //!   structural blind spots.
 
+use std::cell::Cell;
+
+use cleo_common::scratch::recycle;
 use cleo_engine::physical::{JobMeta, PhysicalNode, PhysicalOpKind};
 
-/// One candidate sweep of a coalesced costing pass: an operator, the candidate
-/// partition counts to cost it at, and the job context the sweep belongs to.
-/// Batches of these — possibly spanning *different jobs* served by the same
-/// model snapshot — are costed together through
-/// [`CostModel::exclusive_cost_sweeps`].
+/// One candidate sweep of a costing pass: an operator, the candidate partition
+/// counts to cost it at, and the job context the sweep belongs to.  The
+/// optimizer costs every operator one step builds — an enumeration level, an
+/// exploration phase, the final fold — as one list of these; the serving front
+/// end merges lists across jobs served by the same model snapshot.  Either way
+/// the list is costed in one call ([`CostModel::exclusive_cost_sweeps_into`],
+/// [`CostModel::exclusive_cost_sweeps`]).
+#[derive(Debug, Clone, Copy)]
 pub struct SweepSpec<'a> {
     /// The operator being costed (`node.est` carries its statistics).
     pub node: &'a PhysicalNode,
@@ -29,6 +35,47 @@ pub struct SweepSpec<'a> {
     pub partitions: &'a [usize],
     /// The job the operator belongs to.
     pub meta: &'a JobMeta,
+}
+
+impl<'a> SweepSpec<'a> {
+    /// `node` at its own partition count: the one-candidate sweep of
+    /// enumeration and of the final cost fold.
+    pub fn at_own_count(node: &'a PhysicalNode, meta: &'a JobMeta) -> SweepSpec<'a> {
+        SweepSpec {
+            node,
+            partitions: std::slice::from_ref(&node.partition_count),
+            meta,
+        }
+    }
+}
+
+thread_local! {
+    /// The sweep list and cost buffer of [`cost_in_one_call`], parked between
+    /// calls so a costing step allocates nothing once they have grown.
+    static ONE_CALL: Cell<(Vec<SweepSpec<'static>>, Vec<f64>)> =
+        const { Cell::new((Vec::new(), Vec::new())) };
+}
+
+/// Cost the sweeps `fill` lists through one
+/// [`CostModel::exclusive_cost_sweeps_into`] call (none when the list is
+/// empty) and hand the flat costs — sweep after sweep, candidate after
+/// candidate — to `read`.  The buffers are this thread's, reused from call to
+/// call.
+pub(crate) fn cost_in_one_call<'s, R>(
+    model: &dyn CostModel,
+    fill: impl FnOnce(&mut Vec<SweepSpec<'s>>),
+    read: impl FnOnce(&[f64]) -> R,
+) -> R {
+    let (parked, mut costs) = ONE_CALL.take();
+    let mut sweeps = recycle(parked);
+    fill(&mut sweeps);
+    costs.clear();
+    if !sweeps.is_empty() {
+        model.exclusive_cost_sweeps_into(&sweeps, &mut costs);
+    }
+    let result = read(&costs);
+    ONE_CALL.set((recycle(sweeps), costs));
+    result
 }
 
 /// A cost model invoked by the optimizer's Optimize-Inputs task.
@@ -57,20 +104,30 @@ pub trait CostModel: Send + Sync {
             .collect()
     }
 
-    /// Cost many candidate sweeps — typically one per operator, gathered across
-    /// a whole batch of concurrent jobs served by the same model snapshot — in
-    /// one call, returning one cost vector per sweep in input order.
+    /// Cost many candidate sweeps in one call, returning one cost vector per
+    /// sweep in input order.
     ///
-    /// This is the coalescing seam of the serving front end: learned models
-    /// override it to merge every sweep's feature rows into one
-    /// `FeatureMatrix` pass per signature group before scattering results
-    /// back.  Overrides must return values bit-identical to costing each
-    /// sweep alone through [`CostModel::exclusive_cost_batch`].
+    /// Learned models override it to look every sweep up in their cache and
+    /// push all the misses through one predictor pass.  Overrides must return
+    /// values bit-identical to costing each sweep alone through
+    /// [`CostModel::exclusive_cost_batch`].
     fn exclusive_cost_sweeps(&self, sweeps: &[SweepSpec]) -> Vec<Vec<f64>> {
         sweeps
             .iter()
             .map(|s| self.exclusive_cost_batch(s.node, s.partitions, s.meta))
             .collect()
+    }
+
+    /// [`CostModel::exclusive_cost_sweeps`] flattened: every sweep's costs are
+    /// appended to `out`, sweep after sweep in input order.  This is the call
+    /// the optimizer makes once per enumeration level, per exploration phase
+    /// and for the final cost fold; an override that writes into `out`
+    /// directly costs the step without allocating.  Same contract as
+    /// [`CostModel::exclusive_cost_sweeps`].
+    fn exclusive_cost_sweeps_into(&self, sweeps: &[SweepSpec], out: &mut Vec<f64>) {
+        for costs in self.exclusive_cost_sweeps(sweeps) {
+            out.extend_from_slice(&costs);
+        }
     }
 
     /// Decompose the cost around the partition count as `cost(P) ≈ θ_p / P + θ_c · P`
@@ -79,6 +136,23 @@ pub trait CostModel: Send + Sync {
     /// optimizer falls back to sampling.
     fn partition_coefficients(&self, _node: &PhysicalNode, _meta: &JobMeta) -> Option<(f64, f64)> {
         None
+    }
+
+    /// [`CostModel::partition_coefficients`] of every node of `nodes` (all of
+    /// one job), appended to `out` in order: the analytical exploration of a
+    /// whole plan asks once.  Overrides must return what the per-node method
+    /// returns, bit for bit.
+    fn partition_coefficients_batch(
+        &self,
+        nodes: &[&PhysicalNode],
+        meta: &JobMeta,
+        out: &mut Vec<Option<(f64, f64)>>,
+    ) {
+        out.extend(
+            nodes
+                .iter()
+                .map(|node| self.partition_coefficients(node, meta)),
+        );
     }
 
     /// Human-readable model name for reports.
@@ -218,6 +292,16 @@ impl CostModel for HeuristicCostModel {
             _ => {}
         }
         cost + c.startup
+    }
+
+    fn exclusive_cost_sweeps_into(&self, sweeps: &[SweepSpec], out: &mut Vec<f64>) {
+        for s in sweeps {
+            out.extend(
+                s.partitions
+                    .iter()
+                    .map(|&p| self.exclusive_cost(s.node, p, s.meta)),
+            );
+        }
     }
 
     fn name(&self) -> &str {

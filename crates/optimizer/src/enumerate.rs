@@ -11,7 +11,14 @@
 //! interesting physical property, which keeps enumeration polynomial while preserving
 //! the plan choices the paper's evaluation exercises (exchange elision, merge-join
 //! adoption, local aggregation, partition-count changes).
+//!
+//! A level — the alternatives of one logical operator — is costed in one call:
+//! building the level records every operator it creates and how each
+//! alternative's cost folds their exclusive costs ([`LevelFold`]); the level's
+//! operators are then costed together and the folds resolved, in the additions
+//! and the order inline costing would have made.
 
+use std::cell::Cell;
 use std::sync::Arc;
 
 use cleo_common::{CleoError, Result};
@@ -20,7 +27,7 @@ use cleo_engine::logical::{LogicalNode, LogicalOp};
 use cleo_engine::physical::{JobMeta, PhysicalNode, PhysicalOpKind};
 use cleo_engine::types::OpStats;
 
-use crate::cost::CostModel;
+use crate::cost::{cost_in_one_call, CostModel, SweepSpec};
 
 /// Maximum number of alternatives kept per logical node after pruning.
 const MAX_ALTERNATIVES: usize = 6;
@@ -76,6 +83,79 @@ pub struct Enumerator<'a> {
     pub enable_local_aggregation: bool,
     /// Run statistics.
     pub stats: EnumerationStats,
+    /// The level being built (this thread's, parked again on drop).
+    level: LevelFold,
+}
+
+/// The cost of a subplan while its level is being built: known (the subplan
+/// was costed at an earlier level) or the value slot `n` of the level's fold
+/// will hold once the level's operators are costed.
+#[derive(Debug, Clone, Copy)]
+enum Cost {
+    Known(f64),
+    Slot(usize),
+}
+
+/// How one slot of a [`LevelFold`] is computed.
+#[derive(Debug, Clone, Copy)]
+enum Step {
+    /// `a + b`: a join's two prepared inputs.
+    Sum(Cost, Cost),
+    /// `children + exclusive.max(0.0)`, the exclusive cost being that of the
+    /// level's `node`-th costed operator.
+    Costed { children: Cost, node: usize },
+}
+
+/// What one enumeration level built and how its alternatives' costs fold the
+/// exclusive costs of the operators it created — recorded while building, so
+/// the operators are costed in one call and the folds resolved afterwards.
+#[derive(Debug, Default)]
+struct LevelFold {
+    /// Operators created at this level, in build order.
+    nodes: Vec<Arc<PhysicalNode>>,
+    /// How each slot is computed; a slot only reads earlier ones.
+    steps: Vec<Step>,
+    /// Slot values, filled in `steps` order once the exclusive costs are in.
+    values: Vec<f64>,
+    /// The cost of each alternative of the level, in push order.
+    alt_costs: Vec<Cost>,
+}
+
+impl LevelFold {
+    fn value(&self, cost: Cost) -> f64 {
+        match cost {
+            Cost::Known(value) => value,
+            Cost::Slot(slot) => self.values[slot],
+        }
+    }
+
+    fn clear(&mut self) {
+        self.nodes.clear();
+        self.steps.clear();
+        self.values.clear();
+        self.alt_costs.clear();
+    }
+}
+
+thread_local! {
+    /// The level buffers of the last enumerator on this thread: a job's
+    /// enumeration reuses them instead of growing its own.
+    static PARKED_LEVEL: Cell<LevelFold> = const {
+        Cell::new(LevelFold {
+            nodes: Vec::new(),
+            steps: Vec::new(),
+            values: Vec::new(),
+            alt_costs: Vec::new(),
+        })
+    };
+}
+
+impl Drop for Enumerator<'_> {
+    fn drop(&mut self) {
+        self.level.clear();
+        let level = std::mem::take(&mut self.level);
+        let _ = PARKED_LEVEL.try_with(|parked| parked.set(level));
+    }
 }
 
 impl<'a> Enumerator<'a> {
@@ -94,6 +174,7 @@ impl<'a> Enumerator<'a> {
             use_actual_cardinalities,
             enable_local_aggregation,
             stats: EnumerationStats::default(),
+            level: PARKED_LEVEL.take(),
         }
     }
 
@@ -106,6 +187,8 @@ impl<'a> Enumerator<'a> {
             (cards.estimated, cards.actual)
         };
 
+        // Children are enumerated (and their levels resolved) before this
+        // level builds anything, so the level buffers hold one level at a time.
         let mut alts: Vec<Alternative> = Vec::new();
         match &logical.op {
             LogicalOp::Get { table } => {
@@ -114,7 +197,7 @@ impl<'a> Enumerator<'a> {
                 node.est = est;
                 node.act = act;
                 node.partition_count = t.stored_partitions;
-                alts.push(self.costed(node, 0.0));
+                self.alternative(&mut alts, node, Cost::Known(0.0));
             }
             LogicalOp::Filter { predicate, .. } => {
                 for child in self.enumerate(&logical.children[0])? {
@@ -126,7 +209,7 @@ impl<'a> Enumerator<'a> {
                         act,
                         true,
                     );
-                    alts.push(self.costed(node, child.cost));
+                    self.alternative(&mut alts, node, Cost::Known(child.cost));
                 }
             }
             LogicalOp::Project { .. } => {
@@ -139,7 +222,7 @@ impl<'a> Enumerator<'a> {
                         act,
                         true,
                     );
-                    alts.push(self.costed(node, child.cost));
+                    self.alternative(&mut alts, node, Cost::Known(child.cost));
                 }
             }
             LogicalOp::Process {
@@ -157,7 +240,7 @@ impl<'a> Enumerator<'a> {
                         false,
                     );
                     node.udf_cost_factor = *hidden_cost_factor;
-                    alts.push(self.costed(node, child.cost));
+                    self.alternative(&mut alts, node, Cost::Known(child.cost));
                 }
             }
             LogicalOp::Output { sink } => {
@@ -170,17 +253,17 @@ impl<'a> Enumerator<'a> {
                         act,
                         true,
                     );
-                    alts.push(self.costed(node, child.cost));
+                    self.alternative(&mut alts, node, Cost::Known(child.cost));
                 }
             }
             LogicalOp::Sort { keys } => {
                 for child in self.enumerate(&logical.children[0])? {
                     if child.node.sorted_on == *keys {
                         // Sort requirement already satisfied: no enforcer needed.
-                        alts.push(child.clone());
+                        self.keep(&mut alts, (child.node, Cost::Known(child.cost)));
                     } else {
-                        let node = self.sort_enforcer(&child, keys.clone(), est, act);
-                        alts.push(self.costed(node, child.cost));
+                        let node = self.sort_enforcer(&child.node, keys.clone());
+                        self.alternative(&mut alts, node, Cost::Known(child.cost));
                     }
                 }
             }
@@ -221,10 +304,11 @@ impl<'a> Enumerator<'a> {
                 node.est = est;
                 node.act = act;
                 node.partition_count = parts;
-                alts.push(self.costed(node, child_cost));
+                self.alternative(&mut alts, node, Cost::Known(child_cost));
             }
         }
 
+        self.resolve_level(&mut alts);
         if alts.is_empty() {
             return Err(CleoError::OptimizationError(format!(
                 "no alternatives generated for {:?}",
@@ -233,6 +317,83 @@ impl<'a> Enumerator<'a> {
         }
         self.stats.alternatives_generated += alts.len();
         Ok(prune(alts))
+    }
+
+    /// Cost every operator this level created in one call, then fold each
+    /// alternative's cost as it was recorded.
+    fn resolve_level(&mut self, alts: &mut [Alternative]) {
+        let meta = self.meta;
+        let level = &mut self.level;
+        let LevelFold {
+            nodes,
+            steps,
+            values,
+            ..
+        } = &mut *level;
+        cost_in_one_call(
+            self.cost_model,
+            |sweeps| sweeps.extend(nodes.iter().map(|node| SweepSpec::at_own_count(node, meta))),
+            |exclusive| {
+                for step in steps.iter() {
+                    let read = |cost| match cost {
+                        Cost::Known(value) => value,
+                        Cost::Slot(slot) => values[slot],
+                    };
+                    let value = match *step {
+                        Step::Sum(a, b) => read(a) + read(b),
+                        Step::Costed { children, node } => {
+                            read(children) + exclusive[node].max(0.0)
+                        }
+                    };
+                    values.push(value);
+                }
+            },
+        );
+        for (alt, &cost) in alts.iter_mut().zip(&level.alt_costs) {
+            alt.cost = level.value(cost);
+        }
+        level.clear();
+    }
+
+    /// Record a freshly built operator for this level's cost call: its cost
+    /// will be `children + exclusive.max(0.0)`.
+    fn costed(&mut self, node: PhysicalNode, children: Cost) -> (Arc<PhysicalNode>, Cost) {
+        self.stats.model_invocations += 1;
+        let node = Arc::new(node);
+        let level = &mut self.level;
+        level.nodes.push(Arc::clone(&node));
+        level.steps.push(Step::Costed {
+            children,
+            node: level.nodes.len() - 1,
+        });
+        (node, Cost::Slot(level.steps.len() - 1))
+    }
+
+    /// The cost of two subplans together (a join's inputs).
+    fn sum(&mut self, a: Cost, b: Cost) -> Cost {
+        match (a, b) {
+            (Cost::Known(a), Cost::Known(b)) => Cost::Known(a + b),
+            _ => {
+                self.level.steps.push(Step::Sum(a, b));
+                Cost::Slot(self.level.steps.len() - 1)
+            }
+        }
+    }
+
+    /// [`Enumerator::costed`], kept as one of this level's alternatives.
+    fn alternative(&mut self, alts: &mut Vec<Alternative>, node: PhysicalNode, children: Cost) {
+        let costed = self.costed(node, children);
+        self.keep(alts, costed);
+    }
+
+    /// Make a subplan one of this level's alternatives (its cost is filled in
+    /// when the level resolves).
+    fn keep(&mut self, alts: &mut Vec<Alternative>, (node, cost): (Arc<PhysicalNode>, Cost)) {
+        alts.push(Alternative {
+            node,
+            cost: f64::NAN,
+        });
+        self.level.alt_costs.push(cost);
     }
 
     /// Build a unary operator that keeps its child's partitioning and partition
@@ -260,23 +421,17 @@ impl<'a> Enumerator<'a> {
     }
 
     /// Build a Sort enforcer over a child (subtree shared).
-    fn sort_enforcer(
-        &self,
-        child: &Alternative,
-        keys: Vec<String>,
-        _est: OpStats,
-        _act: OpStats,
-    ) -> PhysicalNode {
+    fn sort_enforcer(&self, child: &Arc<PhysicalNode>, keys: Vec<String>) -> PhysicalNode {
         // A sort does not change cardinalities: reuse the child's output stats.
         let mut node = PhysicalNode::new_shared(
             PhysicalOpKind::Sort,
             keys.join(","),
-            vec![Arc::clone(&child.node)],
+            vec![Arc::clone(child)],
         );
-        node.est = passthrough_stats(&child.node.est);
-        node.act = passthrough_stats(&child.node.act);
-        node.partition_count = child.node.partition_count;
-        node.partitioned_on = child.node.partitioned_on.clone();
+        node.est = passthrough_stats(&child.est);
+        node.act = passthrough_stats(&child.act);
+        node.partition_count = child.partition_count;
+        node.partitioned_on = child.partitioned_on.clone();
         node.sorted_on = keys;
         node
     }
@@ -300,18 +455,6 @@ impl<'a> Enumerator<'a> {
         node
     }
 
-    /// Cost a freshly built node and wrap it into a shared [`Alternative`].
-    fn costed(&mut self, node: PhysicalNode, children_cost: f64) -> Alternative {
-        self.stats.model_invocations += 1;
-        let exclusive = self
-            .cost_model
-            .exclusive_cost(&node, node.partition_count, self.meta);
-        Alternative {
-            node: Arc::new(node),
-            cost: children_cost + exclusive.max(0.0),
-        }
-    }
-
     /// Generate the aggregation alternatives over one child alternative.
     fn aggregate_alternatives(
         &mut self,
@@ -328,9 +471,8 @@ impl<'a> Enumerator<'a> {
 
         // Candidate "pre-exchange" children: plain, and optionally locally
         // pre-aggregated (both share the child subtree).
-        let mut pre_children: Vec<(Arc<PhysicalNode>, f64)> =
-            vec![(Arc::clone(&child.node), child.cost)];
-        if self.enable_local_aggregation && !already_partitioned {
+        let plain = (Arc::clone(&child.node), Cost::Known(child.cost));
+        let local = (self.enable_local_aggregation && !already_partitioned).then(|| {
             let mut local = PhysicalNode::new_shared(
                 PhysicalOpKind::LocalAggregate,
                 group_keys.join(","),
@@ -341,25 +483,22 @@ impl<'a> Enumerator<'a> {
             local.act = local_agg_stats(&child.node.act, &act, p);
             local.partition_count = child.node.partition_count;
             local.partitioned_on = child.node.partitioned_on.clone();
-            let local_alt = self.costed(local, child.cost);
-            pre_children.push((local_alt.node, local_alt.cost));
-        }
+            self.costed(local, Cost::Known(child.cost))
+        });
 
-        for (pre, pre_cost) in pre_children {
+        for (pre, pre_cost) in std::iter::once(plain).chain(local) {
             // Establish the partitioning requirement.
             let (partitioned, part_cost) =
                 if already_partitioned && pre.kind != PhysicalOpKind::LocalAggregate {
-                    (Arc::clone(&pre), pre_cost)
+                    (pre, pre_cost)
                 } else {
                     let partitions = if scalar {
                         1
                     } else {
                         default_partition_count(pre.est.output_bytes())
                     };
-                    let exch =
-                        self.exchange_enforcer(Arc::clone(&pre), group_keys.to_vec(), partitions);
-                    let exch_alt = self.costed(exch, pre_cost);
-                    (exch_alt.node, exch_alt.cost)
+                    let exch = self.exchange_enforcer(pre, group_keys.to_vec(), partitions);
+                    self.costed(exch, pre_cost)
                 };
 
             // Hash aggregation.
@@ -372,26 +511,22 @@ impl<'a> Enumerator<'a> {
             hash.act = act;
             hash.partition_count = partitioned.partition_count;
             hash.partitioned_on = group_keys.to_vec();
-            alts.push(self.costed(hash, part_cost));
+            self.alternative(alts, hash, part_cost);
 
             // Sort + stream aggregation.
-            let sort_child = Alternative {
-                node: Arc::clone(&partitioned),
-                cost: part_cost,
-            };
-            let sort = self.sort_enforcer(&sort_child, group_keys.to_vec(), est, act);
-            let sort_alt = self.costed(sort, part_cost);
+            let sort = self.sort_enforcer(&partitioned, group_keys.to_vec());
+            let (sorted, sort_cost) = self.costed(sort, part_cost);
             let mut stream = PhysicalNode::new_shared(
                 PhysicalOpKind::StreamAggregate,
                 group_keys.join(","),
-                vec![sort_alt.node],
+                vec![sorted],
             );
             stream.est = est;
             stream.act = act;
             stream.partition_count = partitioned.partition_count;
             stream.partitioned_on = group_keys.to_vec();
             stream.sorted_on = group_keys.to_vec();
-            alts.push(self.costed(stream, sort_alt.cost));
+            self.alternative(alts, stream, sort_cost);
         }
     }
 
@@ -425,13 +560,12 @@ impl<'a> Enumerator<'a> {
 
         // Prepare each side: exchange if not partitioned on the keys with that
         // count (either way the input subtree is shared, never cloned).
-        let mut prep = |alt: &Alternative, ok: bool| -> (Arc<PhysicalNode>, f64) {
+        let mut prep = |alt: &Alternative, ok: bool| -> (Arc<PhysicalNode>, Cost) {
             if ok && alt.node.partition_count == partitions {
-                (Arc::clone(&alt.node), alt.cost)
+                (Arc::clone(&alt.node), Cost::Known(alt.cost))
             } else {
                 let exch = self.exchange_enforcer(Arc::clone(&alt.node), keys.to_vec(), partitions);
-                let a = self.costed(exch, alt.cost);
-                (a.node, a.cost)
+                self.costed(exch, Cost::Known(alt.cost))
             }
         };
         let (l_part, l_cost) = prep(left, left_ok);
@@ -447,17 +581,16 @@ impl<'a> Enumerator<'a> {
         hj.act = act;
         hj.partition_count = partitions;
         hj.partitioned_on = keys.to_vec();
-        alts.push(self.costed(hj, l_cost + r_cost));
+        let inputs = self.sum(l_cost, r_cost);
+        self.alternative(alts, hj, inputs);
 
         // Merge join: both sides must additionally be sorted on the keys.
-        let mut sort_side = |node: Arc<PhysicalNode>, cost: f64| -> (Arc<PhysicalNode>, f64) {
+        let mut sort_side = |node: Arc<PhysicalNode>, cost: Cost| -> (Arc<PhysicalNode>, Cost) {
             if node.sorted_on == keys {
                 (node, cost)
             } else {
-                let alt = Alternative { node, cost };
-                let sort = self.sort_enforcer(&alt, keys.to_vec(), est, act);
-                let s = self.costed(sort, cost);
-                (s.node, s.cost)
+                let sort = self.sort_enforcer(&node, keys.to_vec());
+                self.costed(sort, cost)
             }
         };
         let (l_sorted, l_scost) = sort_side(l_part, l_cost);
@@ -472,7 +605,8 @@ impl<'a> Enumerator<'a> {
         mj.partition_count = partitions;
         mj.partitioned_on = keys.to_vec();
         mj.sorted_on = keys.to_vec();
-        alts.push(self.costed(mj, l_scost + r_scost));
+        let inputs = self.sum(l_scost, r_scost);
+        self.alternative(alts, mj, inputs);
     }
 }
 
@@ -508,19 +642,24 @@ fn prune(mut alts: Vec<Alternative>) -> Vec<Alternative> {
             .partial_cmp(&b.cost)
             .unwrap_or(std::cmp::Ordering::Equal)
     });
-    let mut kept: Vec<Alternative> = Vec::new();
-    let mut seen: Vec<(Vec<String>, Vec<String>)> = Vec::new();
-    for alt in alts {
-        let key = (alt.node.partitioned_on.clone(), alt.node.sorted_on.clone());
-        if kept.is_empty() || !seen.contains(&key) {
-            seen.push(key);
-            kept.push(alt);
-        }
-        if kept.len() >= MAX_ALTERNATIVES {
+    // The kept alternatives gather at the front, in cost order; an
+    // alternative is kept unless an earlier kept one has its properties.
+    let mut kept = 0;
+    for i in 0..alts.len() {
+        if kept == MAX_ALTERNATIVES {
             break;
         }
+        let node = &alts[i].node;
+        let seen = alts[..kept].iter().any(|k| {
+            k.node.partitioned_on == node.partitioned_on && k.node.sorted_on == node.sorted_on
+        });
+        if !seen {
+            alts.swap(kept, i);
+            kept += 1;
+        }
     }
-    kept
+    alts.truncate(kept);
+    alts
 }
 
 #[cfg(test)]

@@ -29,5 +29,6 @@ pub use provider::{
 };
 pub use resource::{
     analytical_lookup_count, candidate_counts, explore_stage_analytical, explore_stage_sampling,
-    geometric_lookup_count, ExplorationOutcome, PartitionExploration, ResourceContext,
+    explore_stages_analytical, geometric_lookup_count, ExplorationOutcome, PartitionExploration,
+    ResourceContext,
 };

@@ -4,15 +4,16 @@
 use std::time::Instant;
 
 use cleo_common::{CleoError, Result};
-use cleo_engine::physical::PhysicalPlan;
-use cleo_engine::stage::build_stage_graph;
+use cleo_engine::physical::{PhysicalNode, PhysicalOpKind, PhysicalPlan};
+use cleo_engine::stage::{build_stage_graph, Stage};
 use cleo_engine::types::OpId;
 use cleo_engine::workload::JobSpec;
 
-use crate::cost::CostModel;
+use crate::cost::{cost_in_one_call, CostModel, SweepSpec};
 use crate::enumerate::{Enumerator, MAX_PARTITIONS};
 use crate::resource::{
-    candidate_counts, explore_stage_analytical, explore_stage_sampling, PartitionExploration,
+    candidate_counts, explore_stage_sampling, explore_stages_analytical, ExplorationOutcome,
+    PartitionExploration,
 };
 
 /// Optimizer configuration.
@@ -122,12 +123,10 @@ impl<'a> Optimizer<'a> {
     /// Like [`Optimizer::optimize`], but when resource planning rewrote
     /// partition counts the final whole-plan costing is left to the caller:
     /// the returned flag is `true` and `estimated_cost` still holds the
-    /// enumeration-time cost of the chosen alternative.  The serving front
-    /// end uses this to coalesce the final costing of a whole batch of jobs
-    /// into one merged sweep pass
-    /// ([`crate::cost::CostModel::exclusive_cost_sweeps`]); a caller that
-    /// completes the deferred pass itself must add `plan.op_count()` to
-    /// `stats.model_invocations`, matching what [`Optimizer::optimize`] does.
+    /// enumeration-time cost of the chosen alternative.  A caller that
+    /// completes the deferred pass itself ([`Optimizer::total_plan_cost`])
+    /// must add `plan.op_count()` to `stats.model_invocations`, matching what
+    /// [`Optimizer::optimize`] does.
     pub fn optimize_deferred(&self, job: &JobSpec) -> Result<(OptimizedPlan, bool)> {
         let start = Instant::now();
         let mut enumerator = Enumerator::new(
@@ -176,77 +175,76 @@ impl<'a> Optimizer<'a> {
         ))
     }
 
-    /// Sum of exclusive costs over every operator of the plan.
+    /// Sum of exclusive costs over every operator of the plan, in operator
+    /// (pre-order) order, costed in one call.
     pub fn total_plan_cost(&self, plan: &PhysicalPlan) -> f64 {
-        plan.operators()
-            .iter()
-            .map(|op| {
-                self.cost_model
-                    .exclusive_cost(op, op.partition_count, &plan.meta)
-            })
-            .sum()
+        cost_in_one_call(
+            self.cost_model,
+            |sweeps| {
+                plan.root
+                    .visit(&mut |op| sweeps.push(SweepSpec::at_own_count(op, &plan.meta)))
+            },
+            |costs| costs.iter().sum(),
+        )
     }
 
     /// The partition optimization pass: for every stage whose partitioning operator is
     /// an Exchange (stages rooted at an Extract keep the table's stored partitioning,
     /// which acts as a required property), explore candidate partition counts for the
-    /// whole stage and rewrite the stage's operators to the chosen count.
+    /// whole stage and rewrite the stage's operators to the chosen count.  The
+    /// analytical strategy explores every such stage together, in two cost calls.
     fn optimize_partitions(&self, plan: &mut PhysicalPlan) -> Result<usize> {
         let graph = build_stage_graph(plan);
-        let mut invocations = 0usize;
-        let mut rewrites: Vec<(Vec<OpId>, usize)> = Vec::new();
-
+        let mut stages: Vec<&Stage> = Vec::new();
+        let mut stage_ops: Vec<Vec<&PhysicalNode>> = Vec::new();
         for stage in &graph.stages {
             let partitioning_op = plan
                 .root
                 .find(stage.partitioning_op)
                 .ok_or_else(|| CleoError::OptimizationError("dangling stage root".into()))?;
-            if partitioning_op.kind != cleo_engine::physical::PhysicalOpKind::Exchange {
+            if partitioning_op.kind != PhysicalOpKind::Exchange {
                 continue; // Extract-rooted stages keep their required partitioning.
             }
-            let stage_ops: Vec<&cleo_engine::physical::PhysicalNode> = stage
-                .op_ids
-                .iter()
-                .filter_map(|id| plan.root.find(*id))
-                .collect();
-
-            let outcome = match self.config.partition_exploration {
-                PartitionExploration::Analytical => {
-                    match explore_stage_analytical(
-                        &stage_ops,
-                        self.cost_model,
-                        &plan.meta,
-                        self.config.max_partitions,
-                    ) {
-                        Some(o) => Some(o),
-                        None => {
-                            // The cost model has no analytical form: fall back to
-                            // geometric sampling.
-                            let candidates = candidate_counts(
-                                PartitionExploration::Geometric { skip: 2.0 },
-                                self.config.max_partitions,
-                            );
-                            explore_stage_sampling(
-                                &stage_ops,
-                                &candidates,
-                                self.cost_model,
-                                &plan.meta,
-                            )
-                        }
-                    }
-                }
-                strategy => {
-                    let candidates = candidate_counts(strategy, self.config.max_partitions);
-                    explore_stage_sampling(&stage_ops, &candidates, self.cost_model, &plan.meta)
-                }
-            };
-
-            if let Some(outcome) = outcome {
-                invocations += outcome.model_invocations;
-                rewrites.push((stage.op_ids.clone(), outcome.partition_count));
-            }
+            stages.push(stage);
+            stage_ops.push(
+                stage
+                    .op_ids
+                    .iter()
+                    .filter_map(|id| plan.root.find(*id))
+                    .collect(),
+            );
         }
 
+        let sample = |strategy, ops: &[&PhysicalNode]| {
+            let candidates = candidate_counts(strategy, self.config.max_partitions);
+            explore_stage_sampling(ops, &candidates, self.cost_model, &plan.meta)
+        };
+        let outcomes: Vec<Option<ExplorationOutcome>> = match self.config.partition_exploration {
+            PartitionExploration::Analytical => explore_stages_analytical(
+                &stage_ops,
+                self.cost_model,
+                &plan.meta,
+                self.config.max_partitions,
+            )
+            .into_iter()
+            .zip(&stage_ops)
+            .map(|(outcome, ops)| {
+                // A stage the cost model has no analytical form for falls
+                // back to geometric sampling.
+                outcome.or_else(|| sample(PartitionExploration::Geometric { skip: 2.0 }, ops))
+            })
+            .collect(),
+            strategy => stage_ops.iter().map(|ops| sample(strategy, ops)).collect(),
+        };
+
+        let mut invocations = 0usize;
+        let mut rewrites: Vec<(&[OpId], usize)> = Vec::new();
+        for (stage, outcome) in stages.into_iter().zip(outcomes) {
+            if let Some(outcome) = outcome {
+                invocations += outcome.model_invocations;
+                rewrites.push((&stage.op_ids, outcome.partition_count));
+            }
+        }
         for (ops, count) in rewrites {
             plan.root.visit_mut(&mut |n| {
                 if ops.contains(&n.id) {

@@ -12,7 +12,7 @@
 use cleo_common::rng::DetRng;
 use cleo_engine::physical::{JobMeta, PhysicalNode};
 
-use crate::cost::CostModel;
+use crate::cost::{cost_in_one_call, CostModel, SweepSpec};
 use crate::enumerate::MAX_PARTITIONS;
 
 /// Partition-exploration strategy (Section 5.3, Figure 17).
@@ -164,35 +164,94 @@ pub fn explore_stage_sampling(
 /// `(θ_P, θ_C)` coefficients; the optimal count for the stage follows in closed form.
 ///
 /// Returns `None` when the cost model cannot provide coefficients for any operator of
-/// the stage.
+/// the stage.  One stage of [`explore_stages_analytical`].
 pub fn explore_stage_analytical(
     stage_ops: &[&PhysicalNode],
     cost_model: &dyn CostModel,
     meta: &JobMeta,
     max_partitions: usize,
 ) -> Option<ExplorationOutcome> {
-    if stage_ops.is_empty() {
-        return None;
-    }
-    let max = max_partitions.clamp(1, MAX_PARTITIONS);
-    let mut sum_p = 0.0;
-    let mut sum_c = 0.0;
-    let mut invocations = 0;
-    let mut any = false;
-    for op in stage_ops {
-        if let Some((theta_p, theta_c)) = cost_model.partition_coefficients(op, meta) {
-            sum_p += theta_p;
-            sum_c += theta_c;
-            any = true;
-        }
-        invocations += 1; // coefficient extraction counts as one model consultation
-    }
-    if !any {
-        return None;
-    }
+    explore_stages_analytical(&[stage_ops], cost_model, meta, max_partitions)
+        .pop()
+        .flatten()
+}
 
-    // The three cases of Section 5.3.
-    let optimal = if sum_p > 0.0 && sum_c <= 0.0 {
+/// [`explore_stage_analytical`] for every stage of one job at once, in two
+/// cost-model calls: the coefficients of every operator of every stage
+/// ([`CostModel::partition_coefficients_batch`]), then every stage's operators
+/// at that stage's optimum.  Outcomes are aligned with `stages`.
+pub fn explore_stages_analytical<'n, S: AsRef<[&'n PhysicalNode]>>(
+    stages: &[S],
+    cost_model: &dyn CostModel,
+    meta: &JobMeta,
+    max_partitions: usize,
+) -> Vec<Option<ExplorationOutcome>> {
+    let max = max_partitions.clamp(1, MAX_PARTITIONS);
+    let ops: Vec<&PhysicalNode> = stages.iter().flat_map(|s| s.as_ref()).copied().collect();
+    let mut coefficients = Vec::with_capacity(ops.len());
+    cost_model.partition_coefficients_batch(&ops, meta, &mut coefficients);
+
+    // Per stage: the optimum and the coefficient consultations (one per
+    // operator), or `None` when no operator has coefficients.
+    let mut offered = coefficients.as_slice();
+    let optima: Vec<Option<usize>> = stages
+        .iter()
+        .map(|stage| {
+            let (own, rest) = offered.split_at(stage.as_ref().len());
+            offered = rest;
+            let mut sum_p = 0.0;
+            let mut sum_c = 0.0;
+            let mut any = false;
+            for &(theta_p, theta_c) in own.iter().flatten() {
+                sum_p += theta_p;
+                sum_c += theta_c;
+                any = true;
+            }
+            any.then(|| optimal_count(sum_p, sum_c, max))
+        })
+        .collect();
+
+    // Evaluate each chosen count once per operator to report the stage cost.
+    cost_in_one_call(
+        cost_model,
+        |sweeps| {
+            for (stage, optimal) in stages.iter().zip(&optima) {
+                if let Some(optimal) = optimal {
+                    sweeps.extend(stage.as_ref().iter().map(|&node| SweepSpec {
+                        node,
+                        partitions: std::slice::from_ref(optimal),
+                        meta,
+                    }));
+                }
+            }
+        },
+        |costs| {
+            let mut costs = costs.iter();
+            stages
+                .iter()
+                .zip(&optima)
+                .map(|(stage, optimal)| {
+                    let partition_count = (*optimal)?;
+                    let mut stage_cost = 0.0;
+                    for cost in costs.by_ref().take(stage.as_ref().len()) {
+                        stage_cost += cost;
+                    }
+                    Some(ExplorationOutcome {
+                        partition_count,
+                        stage_cost,
+                        // One coefficient consultation and one evaluation per operator.
+                        model_invocations: 2 * stage.as_ref().len(),
+                    })
+                })
+                .collect()
+        },
+    )
+}
+
+/// The stage optimum of `sum_p / P + sum_c · P` over `[1, max]`: the three
+/// cases of Section 5.3.
+fn optimal_count(sum_p: f64, sum_c: f64, max: usize) -> usize {
+    if sum_p > 0.0 && sum_c <= 0.0 {
         max
     } else if sum_p <= 0.0 && sum_c > 0.0 {
         1
@@ -201,19 +260,7 @@ pub fn explore_stage_analytical(
     } else {
         // d/dP (sum_p/P + sum_c·P) = 0  ⇒  P = sqrt(sum_p / sum_c).
         ((sum_p / sum_c).abs().sqrt().round() as usize).clamp(1, max)
-    };
-
-    // Evaluate the chosen count once per operator to report the stage cost.
-    let mut stage_cost = 0.0;
-    for op in stage_ops {
-        invocations += 1;
-        stage_cost += cost_model.exclusive_cost(op, optimal, meta);
     }
-    Some(ExplorationOutcome {
-        partition_count: optimal,
-        stage_cost,
-        model_invocations: invocations,
-    })
 }
 
 /// Predicted number of model look-ups for the analytical strategy with `m` operators
