@@ -16,8 +16,7 @@
 //! Also measures **time-to-recovery** (the chaos pool serving one fault-free
 //! probe batch per shard immediately after the chaos drain) and the
 //! **telemetry quarantine** under a poisoned firehose (healthy records kept,
-//! poisoned records logged, 1-thread vs N-thread quarantine sets
-//! bit-identical).  Writes `BENCH_chaos.json` at the workspace root (also in
+//! poisoned records logged, kept + quarantined = offered).  Writes `BENCH_chaos.json` at the workspace root (also in
 //! `--smoke` mode — CI asserts the file is fresh and well-formed) with honest
 //! `cores` / `degraded` fields.
 
@@ -27,9 +26,7 @@ use std::time::{Duration, Instant};
 use cleo_bench::context::BenchMeta;
 use cleo_common::fault::FaultPlan;
 use cleo_common::obs::Obs;
-use cleo_core::ingest::{
-    parse_telemetry_quarantine, parse_telemetry_quarantine_obs, QuarantinePolicy, WireFormat,
-};
+use cleo_core::ingest::{parse_telemetry_quarantine_obs, QuarantinePolicy, WireFormat};
 use cleo_core::serving::{FrontDoor, FrontDoorConfig, OverloadPolicy};
 use cleo_core::sharding::{ClusterRouter, ServingPool, ShardedRegistry};
 use cleo_core::HoldoutMetrics;
@@ -234,8 +231,8 @@ fn main() {
     let respawned = chaos_pool.respawned_workers();
 
     // Telemetry quarantine under a poisoned firehose: day-interleaved fleet
-    // telemetry with ~5% of records poisoned by the plan.  The quarantine set
-    // must be bit-identical for 1 thread and N.
+    // telemetry with ~5% of records poisoned by the plan, parsed once with
+    // the ingest counters landing in the shared obs registry.
     let mut jobs: Vec<_> = ctx
         .clusters
         .iter()
@@ -252,40 +249,17 @@ fn main() {
         max_kept: 64,
         error_budget: 0.25,
     };
-    let threads = cores.max(2);
-    let (log_1t, quarantine_1t) = parse_telemetry_quarantine(
+    let (log, quarantine) = parse_telemetry_quarantine_obs(
         text.as_bytes(),
         WireFormat::Ndjson,
-        1,
-        &policy,
-        Some(&poison_plan),
-    )
-    .expect("quarantine 1t");
-    let (log_nt, quarantine_nt) = parse_telemetry_quarantine_obs(
-        text.as_bytes(),
-        WireFormat::Ndjson,
-        threads,
         &policy,
         Some(&poison_plan),
         Some(&obs),
     )
-    .expect("quarantine nt");
-    assert_eq!(log_1t.len(), log_nt.len(), "kept records match 1 vs N");
-    assert_eq!(
-        quarantine_1t.total, quarantine_nt.total,
-        "quarantine totals match 1 vs N"
-    );
-    let set = |q: &cleo_core::ingest::QuarantineLog| -> Vec<(usize, String)> {
-        q.kept.iter().map(|r| (r.record, r.msg.clone())).collect()
-    };
-    assert_eq!(
-        set(&quarantine_1t),
-        set(&quarantine_nt),
-        "quarantine set is bit-identical 1 vs N threads"
-    );
-    assert_eq!(log_1t.len() + quarantine_1t.total, n_records);
-    let quarantined = quarantine_1t.total;
-    let healthy = log_1t.len();
+    .expect("quarantine parse");
+    assert_eq!(log.len() + quarantine.total, n_records);
+    let quarantined = quarantine.total;
+    let healthy = log.len();
 
     let goodput_ratio = chaos_goodput / base_goodput.max(1e-9);
     let recovery_ratio = rec_goodput / base_goodput.max(1e-9);
@@ -300,8 +274,7 @@ fn main() {
          {worker_errors} tasks error-completed, {respawned} workers respawned\n\
          recovery: probe {time_to_recovery_ms:.2}ms; replay {rec_goodput:.1} ok/sec \
          [{recovery_ratio:.2}x fault-free]\n\
-         quarantine: {quarantined}/{n_records} records quarantined, {healthy} healthy kept \
-         (1 vs {threads} threads bit-identical)",
+         quarantine: {quarantined}/{n_records} records quarantined, {healthy} healthy kept",
         base_elapsed.as_secs_f64(),
         goodput_ratio,
     );
@@ -324,8 +297,7 @@ fn main() {
          \"goodput_ok_per_sec\": {rec_goodput:.1}, \
          \"ratio_vs_fault_free\": {recovery_ratio:.3}}},\n  \
          \"quarantine\": {{\"records\": {n_records}, \"quarantined\": {quarantined}, \
-         \"healthy_kept\": {healthy}, \"poison_rate\": 0.05, \
-         \"bit_identical_1_vs_{threads}_threads\": true}},\n  \
+         \"healthy_kept\": {healthy}, \"poison_rate\": 0.05}},\n  \
          \"metrics\": {metrics_json}\n}}\n",
     );
     // Anchor the result file at the workspace root regardless of the bench cwd.

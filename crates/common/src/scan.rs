@@ -92,17 +92,6 @@ impl<'a> Iterator for Lines<'a> {
     }
 }
 
-/// Largest newline-terminated prefix length of `buf[..at]`, i.e. a split point
-/// that does not cut a record in half.  Returns 0 when no newline precedes
-/// `at` (the chunk is smaller than one record).
-pub fn split_at_newline(buf: &[u8], at: usize) -> usize {
-    let at = at.min(buf.len());
-    match buf[..at].iter().rposition(|&b| b == b'\n') {
-        Some(i) => i + 1,
-        None => 0,
-    }
-}
-
 /// Parse an ASCII decimal unsigned integer.  Rejects empty input, non-digits,
 /// and overflow.
 pub fn parse_u64(bytes: &[u8]) -> Option<u64> {
@@ -185,17 +174,6 @@ mod tests {
         assert_eq!(Lines::new(b"").count(), 0);
         // Trailing newline does not produce a phantom empty line.
         assert_eq!(Lines::new(b"a\n").count(), 1);
-    }
-
-    #[test]
-    fn split_at_newline_never_cuts_a_record() {
-        let buf = b"aaaa\nbbbb\ncccc";
-        assert_eq!(split_at_newline(buf, 7), 5);
-        assert_eq!(split_at_newline(buf, 4), 0);
-        assert_eq!(split_at_newline(buf, 5), 5);
-        assert_eq!(split_at_newline(buf, 14), 10);
-        assert_eq!(split_at_newline(buf, 100), 10);
-        assert_eq!(split_at_newline(b"no newline", 5), 0);
     }
 
     #[test]

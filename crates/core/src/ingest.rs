@@ -1,35 +1,27 @@
-//! Streaming parallel telemetry ingestion: firehose bytes → shard windows.
+//! Telemetry ingestion: firehose bytes → a day-ordered [`TelemetryLog`].
 //!
 //! The serving tier's training data arrives as telemetry dumps — NDJSON or
-//! compact binary (see `cleo_engine::telemetry_io`).  Parsing a day of
-//! telemetry is embarrassingly parallel *if* the split points respect record
-//! boundaries, so [`parse_telemetry`] cuts the buffer into newline-aligned
-//! chunks (via [`cleo_common::scan::split_at_newline`]) or record-aligned
-//! payload ranges, parses them on [`std::thread::scope`] workers, and merges
-//! the per-chunk logs back **in byte order** — making the parallel parse
-//! bit-identical to the serial one, for any thread count.
+//! compact binary (see `cleo_engine::telemetry_io`).  [`parse_telemetry`] is
+//! the strict path: the first malformed or out-of-order record aborts the
+//! parse with a span-exact [`CleoError::Parse`].  [`parse_telemetry_quarantine`]
+//! is the resilient one: a single serial pass over the records that
+//! quarantines each bad record — with the same line, span and message the
+//! strict path reports for it — and keeps the rest.
 //!
-//! Error reporting stays serial-exact too: workers number lines/records from
-//! their chunk's absolute offset, and the merge re-checks day order across
-//! chunk boundaries (each worker can only see order violations *within* its
-//! chunk), probing the offending record so the span points at the same day
-//! token a serial read would have flagged.
-//!
-//! [`ingest_firehose`] is the end-to-end path: parallel parse, then
-//! [`ShardedFeedbackLoop::observe`] — partition by cluster and window on the
-//! loop's shard thread pool.
+//! Parsing is serial: it is off the serving path and about 0.5% of a feedback
+//! epoch, too little for threads to pay off (ROADMAP item 12(1)).  To feed a
+//! sharded fleet, parse and then call
+//! [`ShardedFeedbackLoop::observe`](crate::sharding::ShardedFeedbackLoop::observe).
 
 use cleo_common::fault::{FaultPlan, FaultSite};
 use cleo_common::obs::{Obs, TraceEvent};
-use cleo_common::scan::{split_at_newline, Lines};
+use cleo_common::scan::Lines;
 use cleo_common::{CleoError, Result};
-use cleo_engine::telemetry::TelemetryLog;
+use cleo_engine::telemetry::{JobTelemetry, TelemetryLog};
 use cleo_engine::telemetry_io::{
-    binary_record_payloads, decode_binary_record, ndjson_line_day, read_binary, read_ndjson,
-    read_ndjson_at, BINARY_DAY_SPAN,
+    binary_record_payloads, decode_binary_record, decode_ndjson_record, read_binary, read_ndjson,
+    BINARY_DAY_SPAN,
 };
-
-use crate::sharding::ShardedFeedbackLoop;
 
 /// Which telemetry wire format a buffer holds.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -50,218 +42,16 @@ impl WireFormat {
     }
 }
 
-/// Chunks smaller than this aren't worth a thread: the scope spawn plus the
-/// cross-boundary probe would cost more than the parse.
-const MIN_CHUNK_BYTES: usize = 16 * 1024;
-
-/// Parse a telemetry buffer with up to `threads` worker threads.
+/// Parse a telemetry buffer strictly: [`read_ndjson`] or [`read_binary`] by
+/// format.  Malformed input fails with the record's line/record number and
+/// the byte span of the offending token.
 ///
-/// `threads <= 1` (or a buffer too small to split) parses serially.  The
-/// parallel result is **bit-identical** to the serial one — chunk boundaries
-/// land on record boundaries, workers parse disjoint ranges, and the merge
-/// concatenates in byte order — and malformed input fails with the same
-/// line/record number and byte span a serial parse reports.
-pub fn parse_telemetry(buf: &[u8], format: WireFormat, threads: usize) -> Result<TelemetryLog> {
+/// `_threads` is ignored — parsing is serial (ROADMAP item 12(1)).
+pub fn parse_telemetry(buf: &[u8], format: WireFormat, _threads: usize) -> Result<TelemetryLog> {
     match format {
-        WireFormat::Ndjson => parse_ndjson_parallel(buf, threads),
-        WireFormat::Binary => parse_binary_parallel(buf, threads),
+        WireFormat::Ndjson => read_ndjson(buf),
+        WireFormat::Binary => read_binary(buf),
     }
-}
-
-fn parse_ndjson_parallel(buf: &[u8], threads: usize) -> Result<TelemetryLog> {
-    let threads = threads.max(1).min(buf.len() / MIN_CHUNK_BYTES.max(1));
-    if threads <= 1 {
-        return read_ndjson(buf);
-    }
-
-    // Newline-aligned chunk boundaries; a chunk's first line number is one
-    // past the newlines before it.
-    let mut bounds = vec![0usize];
-    for t in 1..threads {
-        let target = buf.len() * t / threads;
-        let cut = split_at_newline(buf, target).max(*bounds.last().expect("non-empty"));
-        if cut > *bounds.last().expect("non-empty") {
-            bounds.push(cut);
-        }
-    }
-    bounds.push(buf.len());
-    let chunks: Vec<(usize, &[u8])> = {
-        let mut first_line = 1usize;
-        bounds
-            .windows(2)
-            .map(|w| {
-                let chunk = &buf[w[0]..w[1]];
-                let entry = (first_line, chunk);
-                first_line += chunk.iter().filter(|&&b| b == b'\n').count();
-                entry
-            })
-            .collect()
-    };
-
-    let results: Vec<Result<TelemetryLog>> = std::thread::scope(|scope| {
-        let handles: Vec<_> = chunks
-            .iter()
-            .map(|&(first_line, chunk)| scope.spawn(move || read_ndjson_at(chunk, first_line)))
-            .collect();
-        handles
-            .into_iter()
-            .map(|h| h.join().expect("ingest parse worker panicked"))
-            .collect()
-    });
-
-    // Byte-order merge with cross-boundary day-order checks.  A worker error
-    // in chunk i surfaces only after the boundary probe at the *start* of
-    // chunk i — exactly the order a serial read discovers problems in.
-    let mut merged = TelemetryLog::new();
-    let mut prev_day: Option<u32> = None;
-    for (result, &(first_line, chunk)) in results.into_iter().zip(&chunks) {
-        if let Some(prev) = prev_day {
-            let first = cleo_common::scan::Lines::new(chunk).find(|(_, _, l)| !l.is_empty());
-            if let Some((local, _, line)) = first {
-                if let Ok((day, span)) = ndjson_line_day(first_line + local - 1, line) {
-                    if day.0 < prev {
-                        return Err(cleo_common::CleoError::Parse {
-                            line: first_line + local - 1,
-                            start: span.0,
-                            end: span.1,
-                            msg: format!(
-                                "out-of-order day {}: an earlier record already reached day {prev}",
-                                day.0
-                            ),
-                        });
-                    }
-                }
-                // A malformed probe line falls through: the worker's own error
-                // for the same line surfaces just below.
-            }
-        }
-        let log = result?;
-        if let Some(last) = log.jobs().last() {
-            prev_day = Some(last.day().0);
-        }
-        merged.extend(log);
-    }
-    Ok(merged)
-}
-
-fn parse_binary_parallel(buf: &[u8], threads: usize) -> Result<TelemetryLog> {
-    let threads = threads.max(1).min(buf.len() / MIN_CHUNK_BYTES.max(1));
-    if threads <= 1 {
-        return read_binary(buf);
-    }
-    // The framing walk is a cheap serial pass (length prefixes only); the
-    // per-record decode is the expensive part that fans out.
-    let payloads = binary_record_payloads(buf)?;
-    if payloads.len() < 2 {
-        return read_binary(buf);
-    }
-    let threads = threads.min(payloads.len());
-    let per = payloads.len().div_ceil(threads);
-
-    let results: Vec<Result<TelemetryLog>> = std::thread::scope(|scope| {
-        let handles: Vec<_> = payloads
-            .chunks(per)
-            .enumerate()
-            .map(|(i, range)| {
-                let base = i * per;
-                scope.spawn(move || {
-                    let mut jobs = Vec::with_capacity(range.len());
-                    let mut prev_day: Option<u32> = None;
-                    for (k, payload) in range.iter().enumerate() {
-                        let record = base + k + 1;
-                        let job = decode_binary_record(record, payload)?;
-                        let day = job.day().0;
-                        if let Some(prev) = prev_day {
-                            if day < prev {
-                                return Err(cleo_common::CleoError::Parse {
-                                    line: record,
-                                    start: BINARY_DAY_SPAN.0,
-                                    end: BINARY_DAY_SPAN.1,
-                                    msg: format!(
-                                        "out-of-order day {day}: an earlier record already \
-                                         reached day {prev}"
-                                    ),
-                                });
-                            }
-                        }
-                        prev_day = Some(day);
-                        jobs.push(job);
-                    }
-                    Ok(TelemetryLog::from_jobs(jobs))
-                })
-            })
-            .collect();
-        handles
-            .into_iter()
-            .map(|h| h.join().expect("ingest parse worker panicked"))
-            .collect()
-    });
-
-    let mut merged = TelemetryLog::new();
-    let mut prev_day: Option<u32> = None;
-    for (i, result) in results.into_iter().enumerate() {
-        let base = i * per;
-        if let Some(prev) = prev_day {
-            if let Ok(job) = decode_binary_record(base + 1, payloads[base]) {
-                if job.day().0 < prev {
-                    return Err(cleo_common::CleoError::Parse {
-                        line: base + 1,
-                        start: BINARY_DAY_SPAN.0,
-                        end: BINARY_DAY_SPAN.1,
-                        msg: format!(
-                            "out-of-order day {}: an earlier record already reached day {prev}",
-                            job.day().0
-                        ),
-                    });
-                }
-            }
-        }
-        let log = result?;
-        if let Some(last) = log.jobs().last() {
-            prev_day = Some(last.day().0);
-        }
-        merged.extend(log);
-    }
-    Ok(merged)
-}
-
-/// What one firehose ingest did, end to end.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct IngestReport {
-    /// Records parsed out of the buffer.
-    pub parsed_jobs: usize,
-    /// Records accepted into some shard's window.
-    pub accepted_jobs: usize,
-    /// Records whose cluster has no registry shard (dropped).
-    pub unrouted_jobs: usize,
-    /// Records evicted by the standard window policy during the observe.
-    pub evicted_jobs: usize,
-    /// Shards whose observe round was lost to an isolated failure (always 0
-    /// on the strict path, which propagates shard errors instead).
-    pub failed_shards: usize,
-    /// Parse worker threads requested.
-    pub threads: usize,
-}
-
-/// Parse a telemetry buffer in parallel and feed it into a sharded feedback
-/// loop's per-cluster windows: the full firehose-to-training-window path.
-pub fn ingest_firehose(
-    fleet: &mut ShardedFeedbackLoop,
-    buf: &[u8],
-    format: WireFormat,
-    threads: usize,
-) -> Result<IngestReport> {
-    let log = parse_telemetry(buf, format, threads)?;
-    let parsed_jobs = log.len();
-    let observed = fleet.observe(log)?;
-    Ok(IngestReport {
-        parsed_jobs,
-        accepted_jobs: observed.accepted_jobs,
-        unrouted_jobs: observed.unrouted_jobs,
-        evicted_jobs: observed.evicted_jobs,
-        failed_shards: observed.failed_shards,
-        threads,
-    })
 }
 
 /// How the resilient parse handles bad records.
@@ -298,8 +88,9 @@ pub struct QuarantinedRecord {
     /// 1-based record number (NDJSON line / binary record index) — the same
     /// numbering the strict path's [`CleoError::Parse`] uses.
     pub record: usize,
-    /// Byte span of the offending token within the record, `(0, 0)` when no
-    /// span applies (injected poison, out-of-order day caught at merge).
+    /// Byte span of the offending token within the record — for a malformed
+    /// or out-of-order record, the span the strict path reports — or `(0, 0)`
+    /// for a record the [`FaultPlan`] poisoned.
     pub span: (usize, usize),
     /// Why the record was refused.
     pub msg: String,
@@ -307,9 +98,9 @@ pub struct QuarantinedRecord {
 
 /// The quarantine side of a resilient parse: what was refused and why.
 ///
-/// Bit-identical for any worker thread count under the same input and
-/// [`FaultPlan`]: per-record decisions are pure functions of the record, and
-/// the day-order fence runs on the serial byte-order merge.
+/// The refused records are exactly the malformed ones, the out-of-order ones
+/// and those the [`FaultPlan`] poisons — for one log, the same set whichever
+/// wire format carried it.
 #[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct QuarantineLog {
     /// Refused records in record order, truncated to the policy's `max_kept`.
@@ -345,210 +136,60 @@ fn quarantine_from_error(record: usize, err: CleoError) -> QuarantinedRecord {
     }
 }
 
-/// Parse one NDJSON chunk record-by-record, quarantining instead of aborting.
-/// Pure in the chunk bytes, absolute line numbers, and the fault plan — so the
-/// parallel merge is bit-identical to the serial pass.
-fn quarantine_ndjson_chunk(
-    chunk: &[u8],
-    first_line: usize,
-    faults: Option<&FaultPlan>,
-) -> (
-    Vec<(usize, cleo_engine::telemetry::JobTelemetry)>,
-    Vec<QuarantinedRecord>,
-) {
-    let mut parsed = Vec::new();
-    let mut quarantined = Vec::new();
-    for (local, _, line) in Lines::new(chunk) {
-        if line.is_empty() {
-            continue;
-        }
-        let record = first_line + local - 1;
-        if faults.is_some_and(|f| f.fires(FaultSite::PoisonRecord, record as u64)) {
-            quarantined.push(QuarantinedRecord {
-                record,
-                span: (0, 0),
-                msg: "injected fault: poisoned telemetry record".into(),
-            });
-            continue;
-        }
-        // One line at a time: a malformed record quarantines itself without
-        // taking its neighbors down, and day order is deferred to the merge.
-        match read_ndjson_at(line, record) {
-            Ok(log) => parsed.extend(log.into_jobs().into_iter().map(|j| (record, j))),
-            Err(e) => quarantined.push(quarantine_from_error(record, e)),
-        }
-    }
-    (parsed, quarantined)
-}
-
-/// Decode one binary payload range record-by-record, quarantining decode
-/// failures.  Framing errors don't reach here — without trustworthy length
-/// prefixes there is no record boundary to resynchronize on.
-fn quarantine_binary_chunk(
-    range: &[&[u8]],
-    base: usize,
-    faults: Option<&FaultPlan>,
-) -> (
-    Vec<(usize, cleo_engine::telemetry::JobTelemetry)>,
-    Vec<QuarantinedRecord>,
-) {
-    let mut parsed = Vec::new();
-    let mut quarantined = Vec::new();
-    for (k, payload) in range.iter().enumerate() {
-        let record = base + k + 1;
-        if faults.is_some_and(|f| f.fires(FaultSite::PoisonRecord, record as u64)) {
-            quarantined.push(QuarantinedRecord {
-                record,
-                span: (0, 0),
-                msg: "injected fault: poisoned telemetry record".into(),
-            });
-            continue;
-        }
-        match decode_binary_record(record, payload) {
-            Ok(job) => parsed.push((record, job)),
-            Err(e) => quarantined.push(quarantine_from_error(record, e)),
-        }
-    }
-    (parsed, quarantined)
-}
-
-type ChunkOutcome = (
-    Vec<(usize, cleo_engine::telemetry::JobTelemetry)>,
-    Vec<QuarantinedRecord>,
-);
-
 /// Parse a telemetry buffer with per-record quarantine instead of first-error
 /// abort.
 ///
-/// Malformed records (and records the [`FaultPlan`] poisons) land in the
-/// returned [`QuarantineLog`]; day-order regressions are fenced at the serial
-/// merge, quarantining the regressing record rather than failing the parse.
-/// The kept log and the quarantine set are **bit-identical for any `threads`**
-/// under the same buffer, policy, and fault plan.  The only hard failures
-/// left are unrecoverable ones: broken binary framing (no boundary to resync
-/// on) and a blown error budget.
+/// Malformed records, records whose day regresses below an earlier kept
+/// record's, and records the [`FaultPlan`] poisons land in the returned
+/// [`QuarantineLog`]; every other record is kept, in order.  The only hard
+/// failures are unrecoverable ones: broken binary framing (no boundary to
+/// resync on) and a blown error budget.
+///
+/// `_threads` is ignored — parsing is serial (ROADMAP item 12(1)).
 pub fn parse_telemetry_quarantine(
     buf: &[u8],
     format: WireFormat,
-    threads: usize,
+    _threads: usize,
     policy: &QuarantinePolicy,
     faults: Option<&FaultPlan>,
 ) -> Result<(TelemetryLog, QuarantineLog)> {
-    parse_telemetry_quarantine_obs(buf, format, threads, policy, faults, None)
+    parse_telemetry_quarantine_obs(buf, format, policy, faults, None)
 }
 
 /// [`parse_telemetry_quarantine`] with an observability seam: every refused
 /// record additionally emits a [`TraceEvent::Quarantine`] (sequenced by its
-/// absolute record number, so the event multiset is thread-count-invariant)
-/// and the `ingest.kept_records` / `ingest.quarantined_records` counters are
-/// bumped.  `obs: None` is byte-for-byte the plain path.
+/// record number) and the `ingest.kept_records` /
+/// `ingest.quarantined_records` counters are bumped.  `obs: None` is
+/// byte-for-byte the plain path.
 pub fn parse_telemetry_quarantine_obs(
     buf: &[u8],
     format: WireFormat,
-    threads: usize,
     policy: &QuarantinePolicy,
     faults: Option<&FaultPlan>,
     obs: Option<&Obs>,
 ) -> Result<(TelemetryLog, QuarantineLog)> {
-    let outcomes: Vec<ChunkOutcome> = match format {
-        WireFormat::Ndjson => {
-            let threads = threads
-                .max(1)
-                .min(buf.len() / MIN_CHUNK_BYTES.max(1))
-                .max(1);
-            if threads <= 1 {
-                vec![quarantine_ndjson_chunk(buf, 1, faults)]
-            } else {
-                let mut bounds = vec![0usize];
-                for t in 1..threads {
-                    let target = buf.len() * t / threads;
-                    let cut = split_at_newline(buf, target).max(*bounds.last().expect("non-empty"));
-                    if cut > *bounds.last().expect("non-empty") {
-                        bounds.push(cut);
-                    }
-                }
-                bounds.push(buf.len());
-                let chunks: Vec<(usize, &[u8])> = {
-                    let mut first_line = 1usize;
-                    bounds
-                        .windows(2)
-                        .map(|w| {
-                            let chunk = &buf[w[0]..w[1]];
-                            let entry = (first_line, chunk);
-                            first_line += chunk.iter().filter(|&&b| b == b'\n').count();
-                            entry
-                        })
-                        .collect()
-                };
-                std::thread::scope(|scope| {
-                    let handles: Vec<_> = chunks
-                        .iter()
-                        .map(|&(first_line, chunk)| {
-                            scope.spawn(move || quarantine_ndjson_chunk(chunk, first_line, faults))
-                        })
-                        .collect();
-                    handles
-                        .into_iter()
-                        .map(|h| h.join().expect("ingest parse worker panicked"))
-                        .collect()
-                })
-            }
-        }
-        WireFormat::Binary => {
-            let payloads = binary_record_payloads(buf)?;
-            let threads = threads.max(1).min(payloads.len().max(1));
-            let per = payloads.len().div_ceil(threads).max(1);
-            if threads <= 1 {
-                vec![quarantine_binary_chunk(&payloads, 0, faults)]
-            } else {
-                std::thread::scope(|scope| {
-                    let handles: Vec<_> = payloads
-                        .chunks(per)
-                        .enumerate()
-                        .map(|(i, range)| {
-                            scope.spawn(move || quarantine_binary_chunk(range, i * per, faults))
-                        })
-                        .collect();
-                    handles
-                        .into_iter()
-                        .map(|h| h.join().expect("ingest parse worker panicked"))
-                        .collect()
-                })
-            }
-        }
+    let (kept, quarantined) = match format {
+        WireFormat::Ndjson => quarantine_records(
+            Lines::new(buf)
+                .filter(|(_, _, line)| !line.is_empty())
+                .map(|(line_no, _, line)| (line_no, line)),
+            decode_ndjson_record,
+            faults,
+        ),
+        WireFormat::Binary => quarantine_records(
+            binary_record_payloads(buf)?
+                .into_iter()
+                .enumerate()
+                .map(|(i, payload)| (i + 1, payload)),
+            |record, payload| decode_binary_record(record, payload).map(|j| (j, BINARY_DAY_SPAN)),
+            faults,
+        ),
     };
-
-    // Serial byte-order merge with the day-order fence: a record whose day
-    // regresses below the high-water mark quarantines instead of aborting.
-    let mut kept = Vec::new();
-    let mut quarantined = Vec::new();
-    let mut high_water: Option<u32> = None;
-    for (records, chunk_quarantined) in outcomes {
-        quarantined.extend(chunk_quarantined);
-        for (record, job) in records {
-            let day = job.day().0;
-            match high_water {
-                Some(prev) if day < prev => quarantined.push(QuarantinedRecord {
-                    record,
-                    span: (0, 0),
-                    msg: format!(
-                        "out-of-order day {day}: an earlier record already reached day {prev}"
-                    ),
-                }),
-                _ => {
-                    high_water = Some(day);
-                    kept.push(job);
-                }
-            }
-        }
-    }
-    quarantined.sort_by_key(|q| q.record);
 
     if let Some(obs) = obs {
         // One event per refused record (before `max_kept` truncation — the
         // trace sees everything the budget counted), plus the aggregate
-        // counters.  Emitted from the serial merge, so the stream is ordered
-        // and thread-count-invariant.
+        // counters.
         for q in &quarantined {
             obs.emit(TraceEvent::Quarantine {
                 seq: q.record as u64,
@@ -582,34 +223,46 @@ pub fn parse_telemetry_quarantine_obs(
     Ok((TelemetryLog::from_jobs(kept), log))
 }
 
-/// The firehose path with quarantine: resilient parse, then observe, with
-/// per-shard failures reported rather than propagated.  Quarantine trace
-/// events and ingest counters flow into the fleet router's observability
-/// handle when one is attached (see `ClusterRouter::with_obs`).
-pub fn ingest_firehose_resilient(
-    fleet: &mut ShardedFeedbackLoop,
-    buf: &[u8],
-    format: WireFormat,
-    threads: usize,
-    policy: &QuarantinePolicy,
+/// The serial quarantine loop shared by both wire formats.  Per record, in
+/// order: refuse it if the fault plan poisons it; decode it (`decode` returns
+/// the job and its day token's span) or refuse it with the decode error; and
+/// refuse it if its day regresses below the last kept record's, with the
+/// error the strict reader reports for it.
+fn quarantine_records<'a>(
+    records: impl Iterator<Item = (usize, &'a [u8])>,
+    decode: impl Fn(usize, &[u8]) -> Result<(JobTelemetry, (usize, usize))>,
     faults: Option<&FaultPlan>,
-) -> Result<(IngestReport, QuarantineLog)> {
-    let obs = fleet.router().obs().cloned();
-    let (log, quarantine) =
-        parse_telemetry_quarantine_obs(buf, format, threads, policy, faults, obs.as_deref())?;
-    let parsed_jobs = log.len();
-    let observed = fleet.observe(log)?;
-    Ok((
-        IngestReport {
-            parsed_jobs,
-            accepted_jobs: observed.accepted_jobs,
-            unrouted_jobs: observed.unrouted_jobs,
-            evicted_jobs: observed.evicted_jobs,
-            failed_shards: observed.failed_shards,
-            threads,
-        },
-        quarantine,
-    ))
+) -> (Vec<JobTelemetry>, Vec<QuarantinedRecord>) {
+    let mut kept: Vec<JobTelemetry> = Vec::new();
+    let mut quarantined = Vec::new();
+    for (record, bytes) in records {
+        if faults.is_some_and(|f| f.fires(FaultSite::PoisonRecord, record as u64)) {
+            quarantined.push(QuarantinedRecord {
+                record,
+                span: (0, 0),
+                msg: "injected fault: poisoned telemetry record".into(),
+            });
+            continue;
+        }
+        let prev_day = kept.last().map(|j| j.day().0);
+        let decoded = decode(record, bytes).and_then(|(job, span)| {
+            let day = job.day().0;
+            match prev_day {
+                Some(prev) if day < prev => Err(CleoError::parse_at(
+                    record,
+                    span.0,
+                    span.1,
+                    format!("out-of-order day {day}: an earlier record already reached day {prev}"),
+                )),
+                _ => Ok(job),
+            }
+        });
+        match decoded {
+            Ok(job) => kept.push(job),
+            Err(e) => quarantined.push(quarantine_from_error(record, e)),
+        }
+    }
+    (kept, quarantined)
 }
 
 #[cfg(test)]
@@ -617,11 +270,9 @@ mod tests {
     use super::*;
     use std::sync::Arc;
 
-    use cleo_common::CleoError;
     use cleo_engine::exec::{Simulator, SimulatorConfig};
     use cleo_engine::physical::{JobMeta, PhysicalNode, PhysicalOpKind, PhysicalPlan};
-    use cleo_engine::telemetry::JobTelemetry;
-    use cleo_engine::telemetry_io::{write_binary, write_ndjson};
+    use cleo_engine::telemetry_io::write_ndjson;
     use cleo_engine::types::{ClusterId, DayIndex, JobId, OpStats};
 
     use cleo_optimizer::HeuristicCostModel;
@@ -670,66 +321,6 @@ mod tests {
     }
 
     #[test]
-    fn parallel_parse_is_bit_identical_to_serial() {
-        let log = sample_log(120);
-        let text = write_ndjson(&log);
-        let bytes = write_binary(&log);
-        let serial_nd = parse_telemetry(text.as_bytes(), WireFormat::Ndjson, 1).unwrap();
-        let serial_bin = parse_telemetry(&bytes, WireFormat::Binary, 1).unwrap();
-        assert_eq!(serial_nd, log);
-        assert_eq!(serial_bin, log);
-        for threads in [2, 3, 5, 8] {
-            let par = parse_telemetry(text.as_bytes(), WireFormat::Ndjson, threads).unwrap();
-            assert_eq!(par, serial_nd, "ndjson x{threads}");
-            assert!(par.is_day_sorted());
-            let par = parse_telemetry(&bytes, WireFormat::Binary, threads).unwrap();
-            assert_eq!(par, serial_bin, "binary x{threads}");
-        }
-    }
-
-    #[test]
-    fn parallel_errors_match_serial_line_numbers() {
-        let log = sample_log(120);
-        let text = write_ndjson(&log);
-        // Corrupt a record deep in the buffer (forces it into a late chunk).
-        let mut corrupted = text.clone().into_bytes();
-        let line_starts: Vec<usize> = std::iter::once(0)
-            .chain(
-                corrupted
-                    .iter()
-                    .enumerate()
-                    .filter(|(_, &b)| b == b'\n')
-                    .map(|(i, _)| i + 1),
-            )
-            .collect();
-        corrupted[line_starts[90]] = b'X';
-        let serial = parse_telemetry(&corrupted, WireFormat::Ndjson, 1).unwrap_err();
-        let parallel = parse_telemetry(&corrupted, WireFormat::Ndjson, 4).unwrap_err();
-        assert_eq!(serial, parallel);
-        assert!(
-            matches!(serial, CleoError::Parse { line: 91, .. }),
-            "{serial:?}"
-        );
-
-        // A day regression mid-buffer fails identically too, serial or not.
-        let mut jobs = log.into_jobs();
-        jobs[60].plan.meta.day = DayIndex(0);
-        let regressed = TelemetryLog::from_jobs(jobs);
-        let text = write_ndjson(&regressed);
-        let serial = parse_telemetry(text.as_bytes(), WireFormat::Ndjson, 1).unwrap_err();
-        let parallel = parse_telemetry(text.as_bytes(), WireFormat::Ndjson, 4).unwrap_err();
-        assert_eq!(serial, parallel);
-        assert!(
-            matches!(serial, CleoError::Parse { line: 61, .. }),
-            "{serial:?}"
-        );
-        let bytes = write_binary(&regressed);
-        let serial = parse_telemetry(&bytes, WireFormat::Binary, 1).unwrap_err();
-        let parallel = parse_telemetry(&bytes, WireFormat::Binary, 4).unwrap_err();
-        assert_eq!(serial, parallel);
-    }
-
-    #[test]
     fn ingest_firehose_fills_shard_windows() {
         let registry = Arc::new(ShardedRegistry::new([ClusterId(0), ClusterId(1)]));
         let router = Arc::new(ClusterRouter::with_uniform_similarity(
@@ -754,8 +345,9 @@ mod tests {
         let per_cluster = |c: u8| log.jobs().iter().filter(|j| j.cluster().0 == c).count();
         let (c0, c1, c2) = (per_cluster(0), per_cluster(1), per_cluster(2));
         let text = write_ndjson(&log);
-        let report = ingest_firehose(&mut fleet, text.as_bytes(), WireFormat::Ndjson, 4).unwrap();
-        assert_eq!(report.parsed_jobs, 90);
+        let parsed = parse_telemetry(text.as_bytes(), WireFormat::Ndjson, 1).unwrap();
+        assert_eq!(parsed, log);
+        let report = fleet.observe(parsed).unwrap();
         assert_eq!(report.accepted_jobs, c0 + c1);
         assert_eq!(report.unrouted_jobs, c2);
         // The 25-job bound already evicted the overflow.
@@ -767,7 +359,8 @@ mod tests {
         assert!(fleet.window(ClusterId(0)).unwrap().is_day_sorted());
 
         // A second ingest keeps honoring the bound.
-        let report2 = ingest_firehose(&mut fleet, text.as_bytes(), WireFormat::Ndjson, 2).unwrap();
+        let parsed = parse_telemetry(text.as_bytes(), WireFormat::Ndjson, 1).unwrap();
+        let report2 = fleet.observe(parsed).unwrap();
         assert_eq!(fleet.window(ClusterId(0)).unwrap().len(), 25);
         assert_eq!(report2.accepted_jobs, c0 + c1);
     }

@@ -29,6 +29,9 @@
 //! * [`serving`] — the async serving front end: open-loop arrivals, bounded
 //!   admission with shed/delay backpressure, and coalescing of requests into
 //!   pool batches behind a backlog,
+//! * [`ingest`] — telemetry ingestion: one serial parse per wire format, strict
+//!   or with per-record quarantine, whose log feeds
+//!   [`sharding::ShardedFeedbackLoop::observe`],
 //! * [`scenario`] — the workload-scenario DSL: declarative suites (drift
 //!   ramps, flash crowds, tenant arrival/churn, adversarial signature floods,
 //!   cold-start storms) compiled into deterministic, seeded multi-cluster job
@@ -94,8 +97,8 @@ pub use feedback::{
     PublishDecision, RetrainOutcome, WindowEviction,
 };
 pub use ingest::{
-    ingest_firehose, ingest_firehose_resilient, parse_telemetry, parse_telemetry_quarantine,
-    IngestReport, QuarantineLog, QuarantinePolicy, QuarantinedRecord, WireFormat,
+    parse_telemetry, parse_telemetry_quarantine, QuarantineLog, QuarantinePolicy,
+    QuarantinedRecord, WireFormat,
 };
 pub use integration::{CacheStats, LearnedCostModel};
 pub use models::{

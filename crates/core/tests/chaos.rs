@@ -13,8 +13,9 @@
 //! * per-shard circuit breakers trip to the donor chain and probe back
 //!   half-open, with a transition sequence that is identical for 1 or N
 //!   workers;
-//! * poisoned telemetry quarantines instead of aborting the feed, with a
-//!   quarantine set bit-identical across parse thread counts;
+//! * poisoned telemetry quarantines instead of aborting the feed: the
+//!   quarantine set is exactly the records the plan poisons, for both wire
+//!   formats, and an out-of-order record carries the strict parser's error;
 //! * fleet epochs and delta rounds isolate panicking/corrupt shards while
 //!   every incumbent keeps serving;
 //! * the publish watchdog rolls back a live-error regression in both full
@@ -24,12 +25,12 @@
 use std::sync::Arc;
 use std::time::Duration;
 
-use cleo_common::fault::FaultPlan;
+use cleo_common::fault::{FaultPlan, FaultSite};
 use cleo_common::CleoError;
 use cleo_core::feedback::{FeedbackConfig, WindowEviction};
 use cleo_core::ingest::{
-    ingest_firehose_resilient, parse_telemetry, parse_telemetry_quarantine, QuarantinePolicy,
-    WireFormat,
+    parse_telemetry, parse_telemetry_quarantine, parse_telemetry_quarantine_obs, QuarantinePolicy,
+    QuarantinedRecord, WireFormat,
 };
 use cleo_core::models::{CleoPredictor, CombinedModel, ModelStore, OperatorSample};
 use cleo_core::registry::HoldoutMetrics;
@@ -544,7 +545,7 @@ fn breaker_transitions_are_identical_for_1_vs_n_workers() {
 // ---------------------------------------------------------------------------
 
 #[test]
-fn quarantine_set_is_bit_identical_across_thread_counts() {
+fn quarantine_set_is_exactly_the_poisoned_records() {
     let log = sample_log(150);
     let text = write_ndjson(&log);
     let bytes = write_binary(&log);
@@ -557,37 +558,80 @@ fn quarantine_set_is_bit_identical_across_thread_counts() {
         ..QuarantinePolicy::default()
     };
 
-    let (nd_1, nd_q1) =
-        parse_telemetry_quarantine(text.as_bytes(), WireFormat::Ndjson, 1, &policy, Some(&plan))
-            .unwrap();
-    let (bin_1, bin_q1) =
-        parse_telemetry_quarantine(&bytes, WireFormat::Binary, 1, &policy, Some(&plan)).unwrap();
-    assert!(
-        nd_q1.total > 0,
-        "the poison schedule must quarantine records"
-    );
-    assert_eq!(
-        nd_1.len() + nd_q1.total,
-        150,
-        "kept + quarantined = offered"
+    // The oracle: record r (1-based) is refused iff the plan poisons it.
+    let poisoned = |r: usize| plan.fires(FaultSite::PoisonRecord, r as u64);
+    let expected: Vec<QuarantinedRecord> = (1..=150)
+        .filter(|&r| poisoned(r))
+        .map(|record| QuarantinedRecord {
+            record,
+            span: (0, 0),
+            msg: "injected fault: poisoned telemetry record".into(),
+        })
+        .collect();
+    assert!(!expected.is_empty(), "the poison schedule must fire");
+    assert!(expected.len() <= policy.max_kept);
+    let survivors = TelemetryLog::from_jobs(
+        log.jobs()
+            .iter()
+            .enumerate()
+            .filter(|(i, _)| !poisoned(i + 1))
+            .map(|(_, j)| j.clone())
+            .collect(),
     );
 
-    for threads in [2, 3, 5, 8] {
-        let (nd_t, nd_qt) = parse_telemetry_quarantine(
-            text.as_bytes(),
-            WireFormat::Ndjson,
-            threads,
-            &policy,
-            Some(&plan),
-        )
-        .unwrap();
-        assert_eq!(nd_t, nd_1, "ndjson kept log x{threads}");
-        assert_eq!(nd_qt, nd_q1, "ndjson quarantine set x{threads}");
-        let (bin_t, bin_qt) =
-            parse_telemetry_quarantine(&bytes, WireFormat::Binary, threads, &policy, Some(&plan))
-                .unwrap();
-        assert_eq!(bin_t, bin_1, "binary kept log x{threads}");
-        assert_eq!(bin_qt, bin_q1, "binary quarantine set x{threads}");
+    let (nd_kept, nd_q) =
+        parse_telemetry_quarantine(text.as_bytes(), WireFormat::Ndjson, 1, &policy, Some(&plan))
+            .unwrap();
+    assert_eq!(
+        nd_q.kept, expected,
+        "ndjson quarantines exactly the poisoned"
+    );
+    assert_eq!(nd_q.total, expected.len());
+    assert_eq!(
+        nd_kept, survivors,
+        "ndjson keeps the offered log minus them"
+    );
+
+    let (bin_kept, bin_q) =
+        parse_telemetry_quarantine(&bytes, WireFormat::Binary, 1, &policy, Some(&plan)).unwrap();
+    assert_eq!(bin_q, nd_q, "CLT1 and NDJSON refuse the same records");
+    assert_eq!(bin_kept, survivors);
+}
+
+#[test]
+fn out_of_order_quarantine_carries_the_strict_parse_error() {
+    let mut jobs = sample_log(120).into_jobs();
+    jobs[60].plan.meta.day = DayIndex(0);
+    let regressed = TelemetryLog::from_jobs(jobs);
+    let text = write_ndjson(&regressed);
+    let bytes = write_binary(&regressed);
+    for (buf, format) in [
+        (text.as_bytes(), WireFormat::Ndjson),
+        (bytes.as_slice(), WireFormat::Binary),
+    ] {
+        let Err(CleoError::Parse {
+            line,
+            start,
+            end,
+            msg,
+        }) = parse_telemetry(buf, format, 1)
+        else {
+            panic!("{format:?}: strict parse must fail on the regression");
+        };
+        assert_eq!(line, 61);
+        let (kept, quarantine) =
+            parse_telemetry_quarantine(buf, format, 1, &QuarantinePolicy::default(), None).unwrap();
+        assert_eq!(kept.len(), 119);
+        assert_eq!(quarantine.total, 1);
+        assert_eq!(
+            quarantine.kept[0],
+            QuarantinedRecord {
+                record: line,
+                span: (start, end),
+                msg,
+            },
+            "{format:?}"
+        );
     }
 }
 
@@ -609,26 +653,26 @@ fn quarantine_keeps_healthy_records_where_strict_parse_aborts() {
     corrupted[line_starts[90]] = b'X';
 
     // Strict path: first error aborts the feed.
-    assert!(parse_telemetry(&corrupted, WireFormat::Ndjson, 4).is_err());
+    assert!(parse_telemetry(&corrupted, WireFormat::Ndjson, 1).is_err());
 
     // Resilient path: both bad lines quarantine, 118 healthy records survive.
     let policy = QuarantinePolicy::default();
     let (kept, quarantine) =
-        parse_telemetry_quarantine(&corrupted, WireFormat::Ndjson, 4, &policy, None).unwrap();
+        parse_telemetry_quarantine(&corrupted, WireFormat::Ndjson, 1, &policy, None).unwrap();
     assert_eq!(kept.len(), 118);
     assert_eq!(quarantine.total, 2);
     let records: Vec<usize> = quarantine.kept.iter().map(|q| q.record).collect();
     assert_eq!(records, vec![31, 91]);
     assert!(quarantine.kept.iter().all(|q| !q.msg.is_empty()));
 
-    // An out-of-order record quarantines at the merge fence instead of
-    // aborting — and only that record is lost.
+    // An out-of-order record quarantines instead of aborting — and only that
+    // record is lost.
     let mut jobs = log.into_jobs();
     jobs[60].plan.meta.day = DayIndex(0);
     let regressed = write_ndjson(&TelemetryLog::from_jobs(jobs));
-    assert!(parse_telemetry(regressed.as_bytes(), WireFormat::Ndjson, 4).is_err());
+    assert!(parse_telemetry(regressed.as_bytes(), WireFormat::Ndjson, 1).is_err());
     let (kept, quarantine) =
-        parse_telemetry_quarantine(regressed.as_bytes(), WireFormat::Ndjson, 4, &policy, None)
+        parse_telemetry_quarantine(regressed.as_bytes(), WireFormat::Ndjson, 1, &policy, None)
             .unwrap();
     assert_eq!(kept.len(), 119);
     assert!(kept.is_day_sorted());
@@ -648,7 +692,7 @@ fn quarantine_error_budget_refuses_a_broken_feed() {
     let err = parse_telemetry_quarantine(
         text.as_bytes(),
         WireFormat::Ndjson,
-        4,
+        1,
         &QuarantinePolicy::default(),
         Some(&plan),
     )
@@ -891,16 +935,17 @@ fn watchdog_rolls_back_during_a_delta_publish() {
 
 #[test]
 fn quarantine_during_a_fleet_epoch_is_thread_invariant() {
-    // Cross-layer determinism: a poisoned firehose is ingested resiliently
-    // into the fleet's shard windows and then a full training epoch runs over
-    // the mixture of quarantine-surviving telemetry and epoch-served jobs.
-    // The final fleet state — quarantine set, ingest accounting, per-shard
-    // versions, and served prediction bits — must be identical for every
-    // (parse threads, shard threads) combination, and identical to a fleet
-    // fed the pre-cleaned log through the plain observe path.
+    // Cross-layer determinism: a poisoned firehose is quarantine-parsed and
+    // observed into the fleet's shard windows, and then a full training epoch
+    // runs over the mixture of quarantine-surviving telemetry and
+    // epoch-served jobs.  The final fleet state — quarantine set, ingest
+    // accounting, per-shard versions, and served prediction bits — must be
+    // identical for every shard thread count, and identical to a fleet fed
+    // the pre-cleaned log through the plain observe path.
     let workloads = generate_all_clusters(1, false);
     let stream: Vec<&JobSpec> = workloads.iter().flat_map(|w| w.jobs.iter()).collect();
-    let bytes = write_binary(&sample_log(150));
+    let log = sample_log(150);
+    let bytes = write_binary(&log);
     let plan = FaultPlan {
         poison_record_rate: 0.08,
         ..FaultPlan::quiet(42)
@@ -951,23 +996,25 @@ fn quarantine_during_a_fleet_epoch_is_thread_invariant() {
         Vec<u64>,
         Vec<u64>,
     );
-    let run = |parse_threads: usize, shard_threads: usize| -> FleetState {
+    let run = |shard_threads: usize| -> FleetState {
         let mut fleet = fleet_over(&workloads, fleet_config(shard_threads));
-        let (report, quarantine) = ingest_firehose_resilient(
-            &mut fleet,
+        let obs = fleet.router().obs().cloned();
+        let (kept, quarantine) = parse_telemetry_quarantine_obs(
             &bytes,
             WireFormat::Binary,
-            parse_threads,
             &policy,
             Some(&plan),
+            obs.as_deref(),
         )
         .unwrap();
         assert!(
             quarantine.total > 0,
             "the poison schedule must fire mid-feed"
         );
-        assert_eq!(report.parsed_jobs + quarantine.total, 150);
-        assert_eq!(report.unrouted_jobs, 0, "all sample clusters have shards");
+        let parsed_jobs = kept.len();
+        assert_eq!(parsed_jobs + quarantine.total, 150);
+        let observed = fleet.observe(kept).unwrap();
+        assert_eq!(observed.unrouted_jobs, 0, "all sample clusters have shards");
         let epoch = fleet.run_epoch(&stream).unwrap();
         assert!(epoch.failed.is_empty(), "{:?}", epoch.failed);
         assert_eq!(epoch.published_count(), 4);
@@ -979,37 +1026,31 @@ fn quarantine_during_a_fleet_epoch_is_thread_invariant() {
         let (versions, bits) = state_of(&fleet);
         (
             q,
-            (
-                report.parsed_jobs,
-                report.accepted_jobs,
-                report.evicted_jobs,
-            ),
+            (parsed_jobs, observed.accepted_jobs, observed.evicted_jobs),
             versions,
             bits,
         )
     };
 
-    let baseline = run(1, 1);
-    for (parse_threads, shard_threads) in [(1, 4), (4, 1), (8, 2)] {
-        assert_eq!(
-            run(parse_threads, shard_threads),
-            baseline,
-            "parse x{parse_threads} / shards x{shard_threads}"
-        );
+    let baseline = run(1);
+    for shard_threads in [2, 4] {
+        assert_eq!(run(shard_threads), baseline, "shards x{shard_threads}");
     }
 
-    // Equivalence with the two-step path: quarantine-parse the same bytes,
-    // observe the kept log, run the same epoch — identical end state.
-    let (kept, quarantine) =
-        parse_telemetry_quarantine(&bytes, WireFormat::Binary, 4, &policy, Some(&plan)).unwrap();
-    let two_step_q: Vec<(usize, String)> = quarantine
-        .kept
-        .iter()
-        .map(|r| (r.record, r.msg.clone()))
-        .collect();
-    assert_eq!(two_step_q, baseline.0);
+    // Equivalence with the pre-cleaned path: drop the poisoned records from
+    // the offered log by hand, observe it, run the same epoch — identical
+    // end state.
+    let cleaned = TelemetryLog::from_jobs(
+        log.jobs()
+            .iter()
+            .enumerate()
+            .filter(|(i, _)| !plan.fires(FaultSite::PoisonRecord, *i as u64 + 1))
+            .map(|(_, j)| j.clone())
+            .collect(),
+    );
+    assert_eq!(cleaned.len(), baseline.1 .0);
     let mut fleet = fleet_over(&workloads, fleet_config(2));
-    let observed = fleet.observe(kept).unwrap();
+    let observed = fleet.observe(cleaned).unwrap();
     assert_eq!(observed.accepted_jobs, baseline.1 .1);
     let epoch = fleet.run_epoch(&stream).unwrap();
     assert!(epoch.failed.is_empty());
@@ -1056,13 +1097,13 @@ fn quiet_plan_is_bit_identical_to_no_plan() {
     // strict parser returns, with an empty quarantine.
     let log = sample_log(90);
     let text = write_ndjson(&log);
-    let strict = parse_telemetry(text.as_bytes(), WireFormat::Ndjson, 4).unwrap();
+    let strict = parse_telemetry(text.as_bytes(), WireFormat::Ndjson, 1).unwrap();
     let policy = QuarantinePolicy::default();
     for faults in [None, Some(FaultPlan::quiet(77))] {
         let (kept, quarantine) = parse_telemetry_quarantine(
             text.as_bytes(),
             WireFormat::Ndjson,
-            4,
+            1,
             &policy,
             faults.as_ref(),
         )

@@ -8,12 +8,13 @@
 //! * a scripted breaker scenario pins the exact event story — publish, trip,
 //!   donor routing, half-open, close — and the registry counters agree with
 //!   the event multiset exactly;
-//! * quarantine events are bit-identical across parse thread counts;
+//! * a quarantine parse emits one event per refused record, past the kept
+//!   log's bound too, and its counters equal the kept and refused totals;
 //! * the NDJSON trace export round-trips losslessly.
 
 use std::sync::Arc;
 
-use cleo_common::fault::FaultPlan;
+use cleo_common::fault::{FaultPlan, FaultSite};
 use cleo_common::obs::{BreakerKind, Obs, PublishKind, RouteKind, TraceEvent};
 use cleo_core::ingest::{parse_telemetry_quarantine_obs, QuarantinePolicy, WireFormat};
 use cleo_core::models::{CleoPredictor, CombinedModel, ModelStore, OperatorSample};
@@ -455,7 +456,7 @@ fn sample_job(job: u64, day: u32, cluster: u8) -> JobTelemetry {
 }
 
 #[test]
-fn quarantine_events_and_counters_are_identical_across_thread_counts() {
+fn quarantine_emits_one_event_per_refused_record() {
     let mut log = TelemetryLog::new();
     for i in 0..120u64 {
         log.push(sample_job(i, (i / 7) as u32, (i % 3) as u8));
@@ -465,53 +466,53 @@ fn quarantine_events_and_counters_are_identical_across_thread_counts() {
         poison_record_rate: 0.08,
         ..FaultPlan::quiet(42)
     };
+    // A kept-log bound below the refusal count: the trace and the counters
+    // must still see every refused record.
     let policy = QuarantinePolicy {
+        max_kept: 3,
         error_budget: 0.5,
-        ..QuarantinePolicy::default()
     };
 
-    let run = |threads: usize| -> (Vec<TraceEvent>, Option<u64>, Option<u64>, usize) {
-        let obs = Obs::new();
-        let (kept, quarantine) = parse_telemetry_quarantine_obs(
-            text.as_bytes(),
-            WireFormat::Ndjson,
-            threads,
-            &policy,
-            Some(&plan),
-            Some(&obs),
-        )
-        .expect("quarantine parse");
-        let snapshot = obs.metrics().snapshot();
-        assert_eq!(
-            snapshot.counter("ingest.kept_records"),
-            Some(kept.len() as u64)
-        );
-        assert_eq!(
-            snapshot.counter("ingest.quarantined_records"),
-            Some(quarantine.total as u64)
-        );
-        (
-            obs.trace().drain_sorted(),
-            snapshot.counter("ingest.kept_records"),
-            snapshot.counter("ingest.quarantined_records"),
-            quarantine.total,
-        )
-    };
+    let obs = Obs::new();
+    let (kept, quarantine) = parse_telemetry_quarantine_obs(
+        text.as_bytes(),
+        WireFormat::Ndjson,
+        &policy,
+        Some(&plan),
+        Some(&obs),
+    )
+    .expect("quarantine parse");
+    let refused: Vec<u64> = (1..=120u64)
+        .filter(|&r| plan.fires(FaultSite::PoisonRecord, r))
+        .collect();
+    assert!(
+        refused.len() > policy.max_kept,
+        "the poison schedule must refuse more records than the log keeps"
+    );
+    assert_eq!(quarantine.total, refused.len());
+    assert_eq!(quarantine.kept.len(), policy.max_kept);
 
-    let (events_1, kept_1, quarantined_1, total_1) = run(1);
-    assert!(total_1 > 0, "the poison schedule must quarantine records");
+    let expected: Vec<TraceEvent> = refused
+        .iter()
+        .map(|&r| TraceEvent::Quarantine {
+            seq: r,
+            record: r,
+            line: r,
+        })
+        .collect();
     assert_eq!(
-        events_1.len(),
-        total_1,
+        obs.trace().drain_sorted(),
+        expected,
         "one quarantine event per refused record"
     );
-    for threads in [2, 4, 8] {
-        let (events_t, kept_t, quarantined_t, _) = run(threads);
-        assert_eq!(
-            events_1, events_t,
-            "quarantine trace identical 1 vs {threads}"
-        );
-        assert_eq!(kept_1, kept_t);
-        assert_eq!(quarantined_1, quarantined_t);
-    }
+    let snapshot = obs.metrics().snapshot();
+    assert_eq!(
+        snapshot.counter("ingest.kept_records"),
+        Some(kept.len() as u64)
+    );
+    assert_eq!(
+        snapshot.counter("ingest.quarantined_records"),
+        Some(refused.len() as u64)
+    );
+    assert_eq!(kept.len() + refused.len(), 120);
 }

@@ -40,7 +40,7 @@ use crate::exec::{JobRun, OperatorRun};
 use crate::physical::{JobMeta, PhysicalNode, PhysicalOpKind, PhysicalPlan};
 use crate::telemetry::{JobTelemetry, ModelProvenance, TelemetryLog};
 use crate::types::{ClusterId, DayIndex, JobId, OpId, OpStats, TemplateId};
-use crate::wire::{self, put_f64, put_str, put_u32, put_u64};
+use crate::wire::{self, put_f64, put_str, put_u32, put_u64, Cursor};
 
 // ---------------------------------------------------------------------------
 // NDJSON writer
@@ -649,9 +649,10 @@ fn assemble_plan(
     Ok((PhysicalPlan::new(meta, root), runs))
 }
 
-/// Parse one NDJSON line into a job; also returns the byte span of the `day`
-/// token so callers can report cross-record day-order violations precisely.
-fn parse_job(line_no: usize, line: &[u8]) -> Result<(JobTelemetry, (usize, usize))> {
+/// Decode one NDJSON record (a line without its newline) into a job.  `line_no`
+/// is the 1-based line number errors report; the returned span is the `day`
+/// token's, so callers can report a day-order violation at it.
+pub fn decode_ndjson_record(line_no: usize, line: &[u8]) -> Result<(JobTelemetry, (usize, usize))> {
     let mut p = LineParser::new(line_no, line);
     p.expect(b"{", "'{'")?;
     p.key("job")?;
@@ -763,22 +764,15 @@ fn day_order_error(line: usize, span: (usize, usize), day: u32, prev: u32) -> Cl
     }
 }
 
-/// Parse an NDJSON telemetry buffer, numbering lines from `first_line`.
-///
-/// The offset exists for the parallel reader in `cleo-core`, which hands each
-/// worker a newline-aligned chunk plus its absolute starting line number so
-/// error reports stay buffer-absolute.  Day-order is enforced **within** the
-/// buffer; cross-chunk order is the caller's to check (see
-/// [`ndjson_line_day`]).
-pub fn read_ndjson_at(buf: &[u8], first_line: usize) -> Result<TelemetryLog> {
+/// Parse an NDJSON telemetry buffer (one job per line, day-ordered).
+pub fn read_ndjson(buf: &[u8]) -> Result<TelemetryLog> {
     let mut jobs = Vec::new();
     let mut prev_day: Option<u32> = None;
-    for (local_line, _offset, line) in Lines::new(buf) {
+    for (line_no, _offset, line) in Lines::new(buf) {
         if line.is_empty() {
             continue;
         }
-        let line_no = first_line + local_line - 1;
-        let (job, day_span) = parse_job(line_no, line)?;
+        let (job, day_span) = decode_ndjson_record(line_no, line)?;
         let day = job.day().0;
         if let Some(prev) = prev_day {
             if day < prev {
@@ -789,11 +783,6 @@ pub fn read_ndjson_at(buf: &[u8], first_line: usize) -> Result<TelemetryLog> {
         jobs.push(job);
     }
     Ok(TelemetryLog::from_jobs(jobs))
-}
-
-/// Parse an NDJSON telemetry buffer (one job per line, day-ordered).
-pub fn read_ndjson(buf: &[u8]) -> Result<TelemetryLog> {
-    read_ndjson_at(buf, 1)
 }
 
 // ---------------------------------------------------------------------------
@@ -959,13 +948,6 @@ pub fn scan_ndjson(buf: &[u8]) -> Result<ScanSummary> {
     Ok(summary)
 }
 
-/// Day (and its byte span) of a single NDJSON record — the cross-chunk
-/// day-order probe used by the parallel reader.
-pub fn ndjson_line_day(line_no: usize, line: &[u8]) -> Result<(DayIndex, (usize, usize))> {
-    let (day, span, _) = scan_line(line_no, line)?;
-    Ok((DayIndex(day), span))
-}
-
 // ---------------------------------------------------------------------------
 // Compact binary codec
 // ---------------------------------------------------------------------------
@@ -1067,107 +1049,34 @@ pub fn write_binary(log: &TelemetryLog) -> Vec<u8> {
     out
 }
 
-/// Little-endian cursor over one binary record payload, with the same
-/// span-exact error reporting as the NDJSON parser (`line` = record number,
-/// spans relative to the payload start).
-struct BinCursor<'a> {
-    record: usize,
-    buf: &'a [u8],
-    pos: usize,
+/// A length-prefixed list of strings.  A count larger than the whole payload
+/// is a corrupt record, not a huge allocation request: each string needs at
+/// least its length prefix.
+fn strings(c: &mut Cursor, payload: &[u8], what: &str) -> Result<Vec<String>> {
+    let n = c.u32(what)? as usize;
+    if n > payload.len() {
+        return c.err(
+            c.pos() - 4,
+            c.pos(),
+            format!("implausible {what} count {n}"),
+        );
+    }
+    (0..n).map(|_| c.string(what)).collect()
 }
 
-impl<'a> BinCursor<'a> {
-    fn err<T>(&self, start: usize, end: usize, msg: impl Into<String>) -> Result<T> {
-        Err(CleoError::Parse {
-            line: self.record,
-            start,
-            end: end.max(start + 1),
-            msg: msg.into(),
-        })
-    }
-
-    fn take(&mut self, n: usize, what: &str) -> Result<&'a [u8]> {
-        if self.pos + n <= self.buf.len() {
-            let s = &self.buf[self.pos..self.pos + n];
-            self.pos += n;
-            Ok(s)
-        } else {
-            self.err(
-                self.pos,
-                self.buf.len(),
-                format!("truncated record: {n} bytes needed for {what}"),
-            )
-        }
-    }
-
-    fn u8(&mut self, what: &str) -> Result<u8> {
-        Ok(self.take(1, what)?[0])
-    }
-
-    fn u32(&mut self, what: &str) -> Result<u32> {
-        let b = self.take(4, what)?;
-        Ok(u32::from_le_bytes(b.try_into().expect("4 bytes")))
-    }
-
-    fn u64(&mut self, what: &str) -> Result<u64> {
-        let b = self.take(8, what)?;
-        Ok(u64::from_le_bytes(b.try_into().expect("8 bytes")))
-    }
-
-    fn f64(&mut self, what: &str) -> Result<f64> {
-        Ok(f64::from_bits(self.u64(what)?))
-    }
-
-    fn string(&mut self, what: &str) -> Result<String> {
-        let len = self.u32(what)? as usize;
-        let start = self.pos;
-        let raw = self.take(len, what)?;
-        match std::str::from_utf8(raw) {
-            Ok(s) => Ok(s.to_string()),
-            Err(_) => self.err(start, start + len, format!("invalid UTF-8 in {what}")),
-        }
-    }
-
-    fn strings(&mut self, what: &str) -> Result<Vec<String>> {
-        let n = self.u32(what)? as usize;
-        if n > self.buf.len() {
-            // Each string needs at least its length prefix; an absurd count is
-            // a corrupt record, not a huge allocation request.
-            return self.err(
-                self.pos - 4,
-                self.pos,
-                format!("implausible {what} count {n}"),
-            );
-        }
-        (0..n).map(|_| self.string(what)).collect()
-    }
-
-    fn stats(&mut self, what: &str) -> Result<OpStats> {
-        Ok(OpStats {
-            input_cardinality: self.f64(what)?,
-            base_cardinality: self.f64(what)?,
-            output_cardinality: self.f64(what)?,
-            avg_row_bytes: self.f64(what)?,
-        })
-    }
-
-    fn flag(&mut self, what: &str) -> Result<bool> {
-        match self.u8(what)? {
-            0 => Ok(false),
-            1 => Ok(true),
-            v => self.err(self.pos - 1, self.pos, format!("invalid {what} flag {v}")),
-        }
-    }
+fn stats(c: &mut Cursor, what: &str) -> Result<OpStats> {
+    Ok(OpStats {
+        input_cardinality: c.f64(what)?,
+        base_cardinality: c.f64(what)?,
+        output_cardinality: c.f64(what)?,
+        avg_row_bytes: c.f64(what)?,
+    })
 }
 
 /// Decode one binary record payload into a job.  `record` is the 1-based
 /// record number used in error reports.
 pub fn decode_binary_record(record: usize, payload: &[u8]) -> Result<JobTelemetry> {
-    let mut c = BinCursor {
-        record,
-        buf: payload,
-        pos: 0,
-    };
+    let mut c = Cursor::new(record, payload);
     let job_id = c.u64("job id")?;
     let cluster = c.u8("cluster id")?;
     let day = c.u32("day")?;
@@ -1178,12 +1087,12 @@ pub fn decode_binary_record(record: usize, payload: &[u8]) -> Result<JobTelemetr
     };
     let recurring = c.flag("recurring")?;
     let name = c.string("job name")?;
-    let normalized_inputs = c.strings("inputs")?;
+    let normalized_inputs = strings(&mut c, payload, "inputs")?;
     let n_params = c.u32("param count")? as usize;
     if n_params > payload.len() {
         return c.err(
-            c.pos - 4,
-            c.pos,
+            c.pos() - 4,
+            c.pos(),
             format!("implausible param count {n_params}"),
         );
     }
@@ -1208,21 +1117,21 @@ pub fn decode_binary_record(record: usize, payload: &[u8]) -> Result<JobTelemetr
     let n_ops = c.u32("operator count")? as usize;
     if n_ops > payload.len() {
         return c.err(
-            c.pos - 4,
-            c.pos,
+            c.pos() - 4,
+            c.pos(),
             format!("implausible operator count {n_ops}"),
         );
     }
     let mut ops = Vec::with_capacity(n_ops);
     for _ in 0..n_ops {
-        let parent_start = c.pos;
+        let parent_start = c.pos();
         let parent_raw = c.u32("parent index")?;
         let parent = if parent_raw == 0 {
             None
         } else {
             Some(parent_raw as usize - 1)
         };
-        let kind_at = c.pos;
+        let kind_at = c.pos();
         let code = c.u8("operator kind")? as usize;
         let Some(&kind) = PhysicalOpKind::all().get(code) else {
             return c.err(
@@ -1233,11 +1142,11 @@ pub fn decode_binary_record(record: usize, payload: &[u8]) -> Result<JobTelemetr
         };
         let label = c.string("operator label")?;
         let partition_count = c.u32("partition count")? as usize;
-        let partitioned_on = c.strings("partition columns")?;
-        let sorted_on = c.strings("sort columns")?;
+        let partitioned_on = strings(&mut c, payload, "partition columns")?;
+        let sorted_on = strings(&mut c, payload, "sort columns")?;
         let udf_cost_factor = c.f64("udf factor")?;
-        let est = c.stats("estimated stats")?;
-        let act = c.stats("actual stats")?;
+        let est = stats(&mut c, "estimated stats")?;
+        let act = stats(&mut c, "actual stats")?;
         let run = if c.flag("run presence")? {
             let exclusive = c.f64("exclusive seconds")?;
             let parts = c.u32("run partitions")? as usize;
@@ -1259,8 +1168,8 @@ pub fn decode_binary_record(record: usize, payload: &[u8]) -> Result<JobTelemetr
             run,
         });
     }
-    if c.pos != payload.len() {
-        return c.err(c.pos, payload.len(), "trailing bytes in record");
+    if c.pos() != payload.len() {
+        return c.err(c.pos(), payload.len(), "trailing bytes in record");
     }
 
     let meta = JobMeta {
@@ -1929,27 +1838,5 @@ mod tests {
             read_events_ndjson(trailing.as_bytes()),
             Err(CleoError::Parse { line: 3, .. })
         ));
-    }
-
-    #[test]
-    fn chunked_reads_report_absolute_line_numbers() {
-        let log = sample_log();
-        let text = write_ndjson(&log);
-        // Split after the second line and parse the tail as a chunk starting
-        // at line 3 — errors and successes must both be offset-correct.
-        let split = text
-            .char_indices()
-            .filter(|&(_, c)| c == '\n')
-            .map(|(i, _)| i + 1)
-            .nth(1)
-            .unwrap();
-        let tail = read_ndjson_at(&text.as_bytes()[split..], 3).expect("tail parses");
-        assert_eq!(tail.len(), 2);
-        let mut corrupted = text.as_bytes()[split..].to_vec();
-        corrupted[0] = b'X';
-        match read_ndjson_at(&corrupted, 3).expect_err("corrupt tail") {
-            CleoError::Parse { line, .. } => assert_eq!(line, 3),
-            other => panic!("expected Parse, got {other:?}"),
-        }
     }
 }

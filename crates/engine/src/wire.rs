@@ -10,9 +10,11 @@
 //! its IEEE-754 bit pattern (`to_bits`), so round-trips are bit-exact —
 //! including NaN payloads and signed zeros.  This module is the shared
 //! implementation: [`write_binary`](crate::telemetry_io::write_binary) frames
-//! telemetry through it, and the model-snapshot codec in `cleo-core` frames
-//! snapshots through it, so the framing (and its span-exact corruption
-//! errors) cannot drift between formats.
+//! telemetry through it and
+//! [`decode_binary_record`](crate::telemetry_io::decode_binary_record) reads
+//! records with its [`Cursor`], as the model-snapshot codec in `cleo-core`
+//! does, so the framing (and its span-exact corruption errors) cannot drift
+//! between formats.
 //!
 //! Errors follow the telemetry convention: [`CleoError::Parse`] with `line` =
 //! the 1-based record number (0 = the stream header) and `start..end` = the
