@@ -6,6 +6,7 @@
 //! every runner exercises the same serving seam (and prediction cache) as the
 //! deployment loop.
 
+use std::collections::BTreeMap;
 use std::sync::Arc;
 
 use cleo_common::cdf::RatioCdf;
@@ -93,9 +94,9 @@ pub fn fig1(ctx: &ExperimentContext) -> Result<String> {
 pub fn tab4(ctx: &ExperimentContext) -> Result<String> {
     let cluster = ctx.cluster(3);
     let samples = CleoTrainer::collect_samples(&cluster.train_log);
-    // Group samples by their subgraph signature and keep groups big enough for CV.
-    use std::collections::HashMap;
-    let mut groups: HashMap<u64, Vec<usize>> = HashMap::new();
+    // Group samples by their subgraph signature and keep groups big enough for
+    // CV, taken in signature order so the table repeats from run to run.
+    let mut groups: BTreeMap<u64, Vec<usize>> = BTreeMap::new();
     for (i, s) in samples.iter().enumerate() {
         groups.entry(s.signatures.op_subgraph).or_default().push(i);
     }
@@ -275,7 +276,6 @@ pub fn fig7(ctx: &ExperimentContext) -> Result<String> {
 pub fn fig11(ctx: &ExperimentContext) -> Result<String> {
     let cluster = ctx.cluster(3);
     let samples = CleoTrainer::collect_samples(&cluster.train_log);
-    use std::collections::HashMap;
 
     let mut table = TextTable::new(
         "Figure 11: CV accuracy by ML algorithm and model family (cluster 4, within-2x fraction)",
@@ -288,7 +288,8 @@ pub fn fig11(ctx: &ExperimentContext) -> Result<String> {
             ModelFamily::OpInput,
             ModelFamily::Operator,
         ] {
-            let mut groups: HashMap<u64, Vec<usize>> = HashMap::new();
+            // Signature order: the groups CV runs on repeat from run to run.
+            let mut groups: BTreeMap<u64, Vec<usize>> = BTreeMap::new();
             for (i, s) in samples.iter().enumerate() {
                 groups
                     .entry(s.signatures.for_family(family))
@@ -561,4 +562,18 @@ pub fn fig15(ctx: &ExperimentContext) -> Result<String> {
 /// Helper for tests: run a set of accuracy experiments against a quick context.
 pub fn smoke(ctx: &ExperimentContext) -> Result<Vec<String>> {
     Ok(vec![fig1(ctx)?, tab5(ctx)?, tab8(ctx)?])
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    // Cross-validates every learner kind on 75 groups: minutes unoptimised,
+    // seconds in a release build (where CI runs it).
+    #[test]
+    #[cfg_attr(debug_assertions, ignore = "slow unoptimised; run with --release")]
+    fn fig11_prints_the_same_table_every_run() {
+        let ctx = ExperimentContext::quick().unwrap();
+        assert_eq!(fig11(&ctx).unwrap(), fig11(&ctx).unwrap());
+    }
 }

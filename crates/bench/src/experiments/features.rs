@@ -18,8 +18,8 @@ use crate::context::ExperimentContext;
 pub fn tab1(ctx: &ExperimentContext) -> Result<String> {
     let cluster = ctx.cluster(0);
     let samples = CleoTrainer::collect_samples(&cluster.train_log);
-    use std::collections::HashMap;
-    let mut groups: HashMap<u64, Vec<usize>> = HashMap::new();
+    // Signature order: the groups evaluated repeat from run to run.
+    let mut groups: std::collections::BTreeMap<u64, Vec<usize>> = Default::default();
     for (i, s) in samples.iter().enumerate() {
         groups.entry(s.signatures.op_subgraph).or_default().push(i);
     }

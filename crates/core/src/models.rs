@@ -78,6 +78,38 @@ struct SignatureTask<'a> {
     basis: Option<&'a Arc<StoredModel>>,
 }
 
+/// Training samples with their [`sample_hash`]es, computed once per training
+/// call and carried with the samples into every family's grouping (and, in
+/// the trainer, into both splits of the shuffled window).
+#[derive(Debug, Clone, Copy)]
+pub(crate) struct HashedSamples<'a> {
+    samples: &'a [OperatorSample],
+    hashes: &'a [u64],
+}
+
+impl<'a> HashedSamples<'a> {
+    /// Pair `samples` with `hashes`, which must be [`sample_hashes`] of them.
+    pub(crate) fn new(samples: &'a [OperatorSample], hashes: &'a [u64]) -> Self {
+        assert_eq!(samples.len(), hashes.len(), "one hash per sample");
+        HashedSamples { samples, hashes }
+    }
+
+    pub(crate) fn samples(&self) -> &'a [OperatorSample] {
+        self.samples
+    }
+
+    pub(crate) fn split_at(&self, mid: usize) -> (Self, Self) {
+        let (a, b) = self.samples.split_at(mid);
+        let (ha, hb) = self.hashes.split_at(mid);
+        (Self::new(a, ha), Self::new(b, hb))
+    }
+}
+
+/// [`sample_hash`] of every sample, in order.
+pub(crate) fn sample_hashes(samples: &[OperatorSample]) -> Vec<u64> {
+    samples.iter().map(sample_hash).collect()
+}
+
 /// Group `samples` by their `family` signature, keeping only signatures with at
 /// least `min_samples` occurrences.  The result is sorted by signature so task
 /// lists (and therefore thread assignment) are deterministic, and each group's
@@ -87,15 +119,15 @@ struct SignatureTask<'a> {
 /// later full-epoch fit of the same group produce bit-identical models.
 fn group_by_signature(
     family: ModelFamily,
-    samples: &[OperatorSample],
+    samples: HashedSamples<'_>,
     min_samples: usize,
 ) -> Vec<(u64, Vec<HashedSample<'_>>)> {
     let mut grouped: HashMap<u64, Vec<HashedSample<'_>>> = HashMap::new();
-    for s in samples {
+    for (s, &h) in samples.samples.iter().zip(samples.hashes) {
         grouped
             .entry(s.signatures.for_family(family))
             .or_default()
-            .push((sample_hash(s), s));
+            .push((h, s));
     }
     let mut out: Vec<(u64, Vec<HashedSample<'_>>)> = grouped
         .into_iter()
@@ -365,9 +397,10 @@ impl ModelStore {
         incumbents: &[Option<&ModelStore>],
         seed_basis: &[Option<&ModelStore>],
     ) -> Result<(Vec<ModelStore>, WarmStartStats)> {
+        let hashes = sample_hashes(samples);
         Self::run_signature_fits(
             families,
-            samples,
+            HashedSamples::new(samples, &hashes),
             min_samples,
             threads,
             incumbents,
@@ -404,9 +437,10 @@ impl ModelStore {
         seed_basis: &[Option<&ModelStore>],
         min_dirty_share: f64,
     ) -> Result<(Vec<ModelStore>, WarmStartStats)> {
+        let hashes = sample_hashes(samples);
         Self::run_signature_fits(
             families,
-            samples,
+            HashedSamples::new(samples, &hashes),
             min_samples,
             threads,
             incumbents,
@@ -418,10 +452,11 @@ impl ModelStore {
     /// The shared per-signature fit driver behind [`ModelStore::train_all_seeded`]
     /// (`dirty_share = None`) and [`ModelStore::train_dirty`] (`dirty_share =
     /// Some(threshold)`: unchanged and deferred signatures are skipped from
-    /// the output stores).
-    fn run_signature_fits(
+    /// the output stores).  The trainer calls it directly with the hashes of
+    /// its shuffled window, so neither split rehashes a sample.
+    pub(crate) fn run_signature_fits(
         families: &[ModelFamily],
-        samples: &[OperatorSample],
+        samples: HashedSamples<'_>,
         min_samples: usize,
         threads: usize,
         incumbents: &[Option<&ModelStore>],

@@ -11,7 +11,8 @@ use cleo_common::Result;
 use cleo_engine::telemetry::{JobTelemetry, TelemetryLog};
 
 use crate::models::{
-    CleoPredictor, CombinedModel, ModelStore, OperatorSample, PredictionBreakdown, WarmStartStats,
+    sample_hashes, CleoPredictor, CombinedModel, HashedSamples, ModelStore, OperatorSample,
+    PredictionBreakdown, WarmStartStats,
 };
 use crate::signature::ModelFamily;
 
@@ -138,20 +139,30 @@ impl CleoTrainer {
         }
         let mut rng = DetRng::new(self.config.seed);
         rng.shuffle(&mut samples);
+        // Each sample is hashed once; the hashes travel with it into both
+        // splits and all four families' groupings.
+        let hashes = sample_hashes(&samples);
+        let window = HashedSamples::new(&samples, &hashes);
         let holdout = ((samples.len() as f64) * self.config.meta_holdout_fraction).round() as usize;
         let holdout = holdout.clamp(1, samples.len().saturating_sub(1).max(1));
-        let (meta_samples, base_samples) = samples.split_at(holdout);
+        let (meta_split, base_split) = window.split_at(holdout);
+        let meta_samples = meta_split.samples();
         let threads = self.config.effective_threads();
+        let families = ModelFamily::all();
 
         // Individual stores over the base split: every per-signature elastic net
         // across all four families is an independent fit, trained concurrently.
         // These stores exist only to produce *out-of-sample* predictions for the
         // meta-model (so it learns where each family can be trusted).
-        let base_stores = ModelStore::train_all(
-            &ModelFamily::all(),
-            base_samples,
+        let no_incumbents = vec![None; families.len()];
+        let (base_stores, _) = ModelStore::run_signature_fits(
+            &families,
+            base_split,
             self.config.min_samples_per_model,
             threads,
+            &no_incumbents,
+            &no_incumbents,
+            None,
         )?;
 
         // Meta-model over the held-out split, using the individual models' predictions
@@ -166,7 +177,6 @@ impl CleoTrainer {
         // paper's deployment trains on everything it has): holding out a quarter
         // of the samples would permanently drop specialised signatures below the
         // min-occurrence threshold and shrink coverage on future days.
-        let families = ModelFamily::all();
         let incumbent_stores: Vec<Option<&ModelStore>> = families
             .iter()
             .map(|&f| incumbent.and_then(|p| p.store(f)))
@@ -175,13 +185,14 @@ impl CleoTrainer {
             .iter()
             .map(|&f| seed_basis.and_then(|p| p.store(f)))
             .collect();
-        let (final_stores, warm_stats) = ModelStore::train_all_seeded(
+        let (final_stores, warm_stats) = ModelStore::run_signature_fits(
             &families,
-            &samples,
+            window,
             self.config.min_samples_per_model,
             threads,
             &incumbent_stores,
             &basis_stores,
+            None,
         )?;
         Ok((CleoPredictor::new(final_stores, combined), warm_stats))
     }

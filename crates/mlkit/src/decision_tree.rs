@@ -4,6 +4,16 @@
 //! the base learner for both the random forest and the FastTree gradient-boosted
 //! ensemble (depth 5, 20 trees).  Splits minimise the sum of squared errors of the
 //! children; leaves predict the mean target of their samples.
+//!
+//! Split search is presorted: a fit sorts each feature once at the root and
+//! every split hands its children their rows in each feature's order by a
+//! stable partition (`PresortedRows`), so no node sorts.  The ensembles go
+//! one step further and rank each feature once per ensemble fit
+//! (`DenseRanks`), deriving every stage's orders by a counting sort.  Both
+//! yield, node for node, the order a stable per-node sort would, so every
+//! fitted tree is bit-identical to one grown by re-sorting at each node.
+
+use std::ops::Range;
 
 use crate::dataset::Dataset;
 use crate::loss::TargetTransform;
@@ -190,6 +200,206 @@ impl FlatEval {
     }
 }
 
+/// Training rows laid out for the presorted split search: every feature is
+/// sorted once and the sorted lists travel down the tree (SLIQ, Mehta et al.,
+/// EDBT 1996), so no node sorts.
+///
+/// `orders` holds one segment of `n_rows` positions per feature, listing the
+/// rows in ascending value order with ties in ascending position — the order
+/// a stable sort on `partial_cmp` yields — and a last segment holding the
+/// positions themselves in ascending order.  Every node owns the same range
+/// of each segment.  A split stable-partitions the range, so each child's
+/// range is again its rows in that order: the node's rows filtered from the
+/// root order.  `Dataset` rejects non-finite values, so `partial_cmp` is a
+/// total preorder and that filtered order is exactly what sorting the node's
+/// own rows would give.
+#[derive(Debug)]
+pub(crate) struct PresortedRows {
+    n_rows: usize,
+    n_cols: usize,
+    /// Feature values, column-major: `values[f * n_rows + p]`.
+    values: Vec<f64>,
+    /// `n_cols + 1` segments of `n_rows` positions (see the type docs).
+    orders: Vec<u32>,
+    /// Per-position side of the split being applied (`true` = left).
+    goes_left: Vec<bool>,
+    /// Right-hand rows of the segment being partitioned.
+    spill: Vec<u32>,
+}
+
+impl PresortedRows {
+    /// Column-major values of `rows` (positions in order, duplicates allowed)
+    /// with every order segment still to be filled.
+    fn gather(data: &Dataset, rows: &[usize]) -> Result<PresortedRows> {
+        let n_rows = rows.len();
+        if u32::try_from(n_rows).is_err() {
+            return Err(CleoError::InvalidTrainingData(format!(
+                "a tree fits at most {} rows, got {n_rows}",
+                u32::MAX
+            )));
+        }
+        let n_cols = data.n_cols();
+        let mut values = vec![0.0; n_cols * n_rows];
+        for (p, &i) in rows.iter().enumerate() {
+            for (f, &v) in data.row(i).iter().enumerate() {
+                values[f * n_rows + p] = v;
+            }
+        }
+        let mut orders = vec![0u32; (n_cols + 1) * n_rows];
+        for (p, slot) in orders[n_cols * n_rows..].iter_mut().enumerate() {
+            *slot = p as u32;
+        }
+        Ok(PresortedRows {
+            n_rows,
+            n_cols,
+            values,
+            orders,
+            goes_left: vec![false; n_rows],
+            spill: Vec::with_capacity(n_rows),
+        })
+    }
+
+    /// Every row of `data`, each feature sorted by a stable sort on
+    /// `partial_cmp`.
+    pub(crate) fn sort(data: &Dataset) -> Result<PresortedRows> {
+        let positions: Vec<usize> = (0..data.n_rows()).collect();
+        let mut rows = Self::gather(data, &positions)?;
+        let n = rows.n_rows;
+        for f in 0..rows.n_cols {
+            let col = &rows.values[f * n..(f + 1) * n];
+            let order = &mut rows.orders[f * n..(f + 1) * n];
+            for (p, slot) in order.iter_mut().enumerate() {
+                *slot = p as u32;
+            }
+            order.sort_by(|&a, &b| {
+                col[a as usize]
+                    .partial_cmp(&col[b as usize])
+                    .unwrap_or(std::cmp::Ordering::Equal)
+            });
+        }
+        Ok(rows)
+    }
+
+    fn column(&self, f: usize) -> &[f64] {
+        &self.values[f * self.n_rows..(f + 1) * self.n_rows]
+    }
+
+    /// The node's rows in feature `f`'s order.
+    fn sorted(&self, f: usize, range: Range<usize>) -> &[u32] {
+        &self.orders[f * self.n_rows..][range]
+    }
+
+    /// The node's rows in ascending position.
+    fn members(&self, range: Range<usize>) -> &[u32] {
+        self.sorted(self.n_cols, range)
+    }
+
+    /// Mark which of the node's rows go left (`value <= threshold`, the
+    /// predicate prediction uses) and return how many do.
+    fn mark_left(&mut self, range: Range<usize>, feature: usize, threshold: f64) -> usize {
+        let n = self.n_rows;
+        let col = &self.values[feature * n..(feature + 1) * n];
+        let members = &self.orders[self.n_cols * n..][range];
+        let mut n_left = 0;
+        for &i in members {
+            let left = col[i as usize] <= threshold;
+            self.goes_left[i as usize] = left;
+            n_left += usize::from(left);
+        }
+        n_left
+    }
+
+    /// Stable-partition the node's range of the position segment — and of
+    /// every feature segment when `features` is set — into the rows
+    /// [`Self::mark_left`] sent left, then the rest.
+    fn partition(&mut self, range: Range<usize>, n_left: usize, features: bool) {
+        let first = if features { 0 } else { self.n_cols };
+        for s in first..=self.n_cols {
+            let seg = &mut self.orders[s * self.n_rows..][range.clone()];
+            self.spill.clear();
+            let mut w = 0;
+            for r in 0..seg.len() {
+                let i = seg[r];
+                if self.goes_left[i as usize] {
+                    seg[w] = i;
+                    w += 1;
+                } else {
+                    self.spill.push(i);
+                }
+            }
+            debug_assert_eq!(w, n_left);
+            seg[w..].copy_from_slice(&self.spill);
+        }
+    }
+}
+
+/// Dense per-feature ranks of a dataset's values, built once per ensemble
+/// fit: equal values (under `partial_cmp`, so `-0.0` and `+0.0` tie) share a
+/// rank and ranks ascend with value.  Any row sample's [`PresortedRows`] then
+/// follows from a stable counting sort on (rank, sample position) in
+/// O(rows + ranks) per feature instead of a sort.
+#[derive(Debug)]
+pub(crate) struct DenseRanks {
+    n_rows: usize,
+    /// Column-major ranks: `ranks[f * n_rows + i]`.
+    ranks: Vec<u32>,
+    /// Distinct values per feature.
+    n_ranks: Vec<usize>,
+}
+
+impl DenseRanks {
+    pub(crate) fn new(data: &Dataset) -> Result<DenseRanks> {
+        let sorted = PresortedRows::sort(data)?;
+        let n = sorted.n_rows;
+        let mut ranks = vec![0u32; sorted.n_cols * n];
+        let mut n_ranks = Vec::with_capacity(sorted.n_cols);
+        for f in 0..sorted.n_cols {
+            let col = sorted.column(f);
+            let order = sorted.sorted(f, 0..n);
+            let rank = &mut ranks[f * n..(f + 1) * n];
+            let mut r = 0u32;
+            for (k, &i) in order.iter().enumerate() {
+                if k > 0 && col[i as usize] > col[order[k - 1] as usize] {
+                    r += 1;
+                }
+                rank[i as usize] = r;
+            }
+            n_ranks.push(r as usize + 1);
+        }
+        Ok(DenseRanks {
+            n_rows: n,
+            ranks,
+            n_ranks,
+        })
+    }
+
+    /// The presorted sample `rows` (indices into the dataset the ranks were
+    /// built on; duplicates allowed): position `p` is `data.row(rows[p])`.
+    pub(crate) fn presort(&self, data: &Dataset, rows: &[usize]) -> Result<PresortedRows> {
+        let mut sample = PresortedRows::gather(data, rows)?;
+        let m = sample.n_rows;
+        let mut starts: Vec<u32> = Vec::new();
+        for (f, &n_ranks) in self.n_ranks.iter().enumerate() {
+            let rank = &self.ranks[f * self.n_rows..(f + 1) * self.n_rows];
+            starts.clear();
+            starts.resize(n_ranks + 1, 0);
+            for &i in rows {
+                starts[rank[i] as usize + 1] += 1;
+            }
+            for r in 1..starts.len() {
+                starts[r] += starts[r - 1];
+            }
+            let order = &mut sample.orders[f * m..(f + 1) * m];
+            for (p, &i) in rows.iter().enumerate() {
+                let slot = &mut starts[rank[i] as usize];
+                order[*slot as usize] = p as u32;
+                *slot += 1;
+            }
+        }
+        Ok(sample)
+    }
+}
+
 /// A CART regression tree.
 #[derive(Debug, Clone)]
 pub struct DecisionTreeRegressor {
@@ -264,11 +474,11 @@ impl DecisionTreeRegressor {
     }
 
     /// Rebuild a tree from exported nodes.  The compiled evaluation table is
-    /// derived from the nodes exactly as [`fit_raw`](Self::fit_raw) derives
+    /// derived from the nodes exactly as [`fit_presorted`](Self::fit_presorted) derives
     /// it, so predictions are bit-identical to the exported tree's.
     ///
     /// Child indices are validated (in-range and strictly increasing past the
-    /// parent — the invariant `fit_raw`'s construction order guarantees), so
+    /// parent — the invariant `fit_presorted`'s construction order guarantees), so
     /// a corrupt export is an error instead of an out-of-bounds panic or an
     /// unbounded recursion.
     pub fn from_parts(
@@ -337,50 +547,57 @@ impl DecisionTreeRegressor {
         }
     }
 
-    /// Fit on already transformed targets (used by the boosting ensemble which manages
-    /// the transform itself).
-    pub(crate) fn fit_raw(&mut self, data: &Dataset, targets: &[f64]) -> Result<()> {
-        if data.is_empty() || targets.len() != data.n_rows() {
+    /// Fit on already transformed targets (`targets[p]` belongs to position
+    /// `p` of `rows`) over presorted rows: the entry the ensembles use, which
+    /// derive each sample's orders from one [`DenseRanks`] table.
+    pub(crate) fn fit_presorted(&mut self, mut rows: PresortedRows, targets: &[f64]) -> Result<()> {
+        if rows.n_rows == 0 || targets.len() != rows.n_rows {
             return Err(CleoError::InvalidTrainingData(
                 "decision tree requires non-empty, consistent data".into(),
             ));
         }
         self.nodes.clear();
-        let indices: Vec<usize> = (0..data.n_rows()).collect();
         let mut rng = DetRng::new(self.config.seed);
-        self.build_node(data, targets, &indices, 0, &mut rng);
+        let all = 0..rows.n_rows;
+        self.build_node(&mut rows, targets, all, 0, &mut rng);
         let depth = self.depth();
         self.flat = (depth <= MAX_FLAT_DEPTH).then(|| FlatEval::build(&self.nodes, depth));
         self.fitted = true;
         Ok(())
     }
 
+    /// Grow the subtree over the rows `range` of `rows` (one node's range of
+    /// every segment) and return its node index.
     fn build_node(
         &mut self,
-        data: &Dataset,
+        rows: &mut PresortedRows,
         targets: &[f64],
-        indices: &[usize],
+        range: Range<usize>,
         depth: usize,
         rng: &mut DetRng,
     ) -> usize {
-        let mean: f64 = indices.iter().map(|&i| targets[i]).sum::<f64>() / indices.len() as f64;
+        let members = rows.members(range.clone());
+        let mean: f64 =
+            members.iter().map(|&i| targets[i as usize]).sum::<f64>() / members.len() as f64;
 
         let stop = depth >= self.config.max_depth
-            || indices.len() < self.config.min_samples_split
-            || indices.len() < 2 * self.config.min_samples_leaf;
+            || members.len() < self.config.min_samples_split
+            || members.len() < 2 * self.config.min_samples_leaf;
         if !stop {
-            if let Some((feature, threshold)) = self.best_split(data, targets, indices, rng) {
-                let (left_idx, right_idx): (Vec<usize>, Vec<usize>) = indices
-                    .iter()
-                    .partition(|&&i| data.row(i)[feature] <= threshold);
-                if left_idx.len() >= self.config.min_samples_leaf
-                    && right_idx.len() >= self.config.min_samples_leaf
+            if let Some((feature, threshold)) = self.best_split(rows, targets, range.clone(), rng) {
+                let n_left = rows.mark_left(range.clone(), feature, threshold);
+                if n_left >= self.config.min_samples_leaf
+                    && range.len() - n_left >= self.config.min_samples_leaf
                 {
+                    // Children at the depth limit are leaves and read only
+                    // their members, so their feature orders need not move.
+                    rows.partition(range.clone(), n_left, depth + 1 < self.config.max_depth);
+                    let mid = range.start + n_left;
                     // Reserve a slot for this split node, then build children.
                     let my_idx = self.nodes.len();
                     self.nodes.push(Node::Leaf { value: mean }); // placeholder
-                    let left = self.build_node(data, targets, &left_idx, depth + 1, rng);
-                    let right = self.build_node(data, targets, &right_idx, depth + 1, rng);
+                    let left = self.build_node(rows, targets, range.start..mid, depth + 1, rng);
+                    let right = self.build_node(rows, targets, mid..range.end, depth + 1, rng);
                     self.nodes[my_idx] = Node::Split {
                         feature,
                         threshold,
@@ -396,43 +613,43 @@ impl DecisionTreeRegressor {
         my_idx
     }
 
-    /// Find the (feature, threshold) minimising children SSE, or `None` if no split
-    /// reduces the error.
+    /// Find the (feature, threshold) minimising children SSE over the rows
+    /// `range`, or `None` if no split reduces the error.  Each candidate
+    /// feature's rows are scanned in the presorted order the node inherited.
     fn best_split(
         &self,
-        data: &Dataset,
+        rows: &PresortedRows,
         targets: &[f64],
-        indices: &[usize],
+        range: Range<usize>,
         rng: &mut DetRng,
     ) -> Option<(usize, f64)> {
-        let n_features = data.n_cols();
+        let n_features = rows.n_cols;
         let candidate_features: Vec<usize> = match self.config.max_features {
             Some(k) if k < n_features => rng.sample_indices(n_features, k),
             _ => (0..n_features).collect(),
         };
 
-        let total_sum: f64 = indices.iter().map(|&i| targets[i]).sum();
-        let total_sq: f64 = indices.iter().map(|&i| targets[i] * targets[i]).sum();
-        let n = indices.len() as f64;
+        let members = rows.members(range.clone());
+        let total_sum: f64 = members.iter().map(|&i| targets[i as usize]).sum();
+        let total_sq: f64 = members
+            .iter()
+            .map(|&i| targets[i as usize] * targets[i as usize])
+            .sum();
+        let n = members.len() as f64;
         let parent_sse = total_sq - total_sum * total_sum / n;
 
         let mut best: Option<(usize, f64, f64)> = None; // (feature, threshold, sse)
         for &f in &candidate_features {
-            // Sort indices by the feature value and scan split points.
-            let mut sorted: Vec<usize> = indices.to_vec();
-            sorted.sort_by(|&a, &b| {
-                data.row(a)[f]
-                    .partial_cmp(&data.row(b)[f])
-                    .unwrap_or(std::cmp::Ordering::Equal)
-            });
+            let sorted = rows.sorted(f, range.clone());
+            let col = rows.column(f);
             let mut left_sum = 0.0;
             let mut left_sq = 0.0;
             for (k, &i) in sorted.iter().enumerate().take(sorted.len() - 1) {
-                let t = targets[i];
+                let t = targets[i as usize];
                 left_sum += t;
                 left_sq += t * t;
-                let next_val = data.row(sorted[k + 1])[f];
-                let cur_val = data.row(i)[f];
+                let next_val = col[sorted[k + 1] as usize];
+                let cur_val = col[i as usize];
                 if next_val <= cur_val {
                     continue; // ties: can't split between equal values
                 }
@@ -515,7 +732,7 @@ impl DecisionTreeRegressor {
 impl Regressor for DecisionTreeRegressor {
     fn fit(&mut self, data: &Dataset) -> Result<()> {
         let targets = self.config.target_transform.forward_all(data.targets());
-        self.fit_raw(data, &targets)
+        self.fit_presorted(PresortedRows::sort(data)?, &targets)
     }
 
     fn predict_row(&self, row: &[f64]) -> f64 {

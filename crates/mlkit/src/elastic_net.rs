@@ -8,6 +8,12 @@
 //! replaces).  The paper's hyper-parameters are `alpha = 1.0`, `l1_ratio = 0.5`,
 //! `fit_intercept = true`, trained on the mean-squared-log-error objective — i.e.
 //! squared error on `log1p(target)`.
+//!
+//! The descent sweeps one feature at a time, so it runs on a column-major copy
+//! of the standardised features: each coordinate's `rho` dot product and
+//! residual update read one contiguous column, and the residual update
+//! vectorises.  Both loops keep the row-order expressions of a row-major
+//! descent, so the weights are bit-identical to it.
 
 use crate::dataset::Dataset;
 use crate::loss::TargetTransform;
@@ -229,9 +235,12 @@ impl Regressor for ElasticNet {
         let y: Vec<f64> = transform.forward_all(data.targets());
 
         // Standardise features; coordinate descent operates in standardised space and
-        // the learned weights are mapped back to raw space afterwards.
+        // the learned weights are mapped back to raw space afterwards.  The descent
+        // reads and updates one feature at a time, so the standardised matrix is
+        // column-major: feature `j` is the contiguous `cols[j * n..(j + 1) * n]`.
         let scaler = StandardScaler::fit(data);
-        let std_data = scaler.transform(data);
+        let cols = scaler.transform_columns(data);
+        let column = |j: usize| &cols[j * n..(j + 1) * n];
 
         let y_mean = if self.config.fit_intercept {
             y.iter().sum::<f64>() / n as f64
@@ -242,12 +251,15 @@ impl Regressor for ElasticNet {
 
         // Precompute column norms (columns are standardised, but constant columns have
         // zero variance and must be skipped).
-        let mut col_sq = vec![0.0; d];
-        for i in 0..n {
-            for (j, &v) in std_data.row(i).iter().enumerate() {
-                col_sq[j] += v * v;
-            }
-        }
+        let col_sq: Vec<f64> = (0..d)
+            .map(|j| {
+                let mut sq = 0.0;
+                for &v in column(j) {
+                    sq += v * v;
+                }
+                sq
+            })
+            .collect();
 
         let alpha = self.config.alpha.max(0.0);
         let l1 = alpha * self.config.l1_ratio;
@@ -268,12 +280,12 @@ impl Regressor for ElasticNet {
                 }
             }
         }
-        // residual r = yc - X w  (equal to yc for the cold start's w = 0)
+        // residual r = yc - X w  (equal to yc for the cold start's w = 0).  Each
+        // row's dot product sums over features in order, once per fit.
         let mut residual = yc;
         if w.iter().any(|&wj| wj != 0.0) {
             for (i, r) in residual.iter_mut().enumerate() {
-                let row = std_data.row(i);
-                *r -= row.iter().zip(&w).map(|(x, wj)| x * wj).sum::<f64>();
+                *r -= (0..d).map(|j| cols[j * n + i] * w[j]).sum::<f64>();
             }
         }
 
@@ -283,10 +295,10 @@ impl Regressor for ElasticNet {
                 if col_sq[j] < 1e-12 {
                     continue;
                 }
+                let xj = column(j);
                 // rho = (1/n) * x_j · (r + x_j * w_j)
                 let mut rho = 0.0;
-                for (i, r) in residual.iter().enumerate() {
-                    let xij = std_data.row(i)[j];
+                for (&xij, r) in xj.iter().zip(&residual) {
                     rho += xij * (r + xij * w[j]);
                 }
                 rho /= nf;
@@ -294,8 +306,9 @@ impl Regressor for ElasticNet {
                 let new_w = Self::soft_threshold(rho, l1) / denom;
                 let delta = new_w - w[j];
                 if delta != 0.0 {
-                    for (i, r) in residual.iter_mut().enumerate() {
-                        *r -= std_data.row(i)[j] * delta;
+                    // Element-wise and contiguous: this loop vectorises.
+                    for (r, &xij) in residual.iter_mut().zip(xj) {
+                        *r -= xij * delta;
                     }
                     w[j] = new_w;
                 }

@@ -10,9 +10,14 @@
 //! Fitting squared error on `log1p(target)` makes each boosting stage's negative
 //! gradient a plain residual in log space, so the classic "fit a tree to the
 //! residuals" recipe directly optimises the paper's MSLE loss.
+//!
+//! A fit ranks each feature once (`decision_tree::DenseRanks`); each
+//! stage's subsample gets its presorted feature orders from those ranks by a
+//! stable counting sort, so no stage sorts and no stage copies its rows into a
+//! dataset of their own.
 
 use crate::dataset::Dataset;
-use crate::decision_tree::DecisionTreeRegressor;
+use crate::decision_tree::{DecisionTreeRegressor, DenseRanks};
 use crate::loss::TargetTransform;
 use crate::model::Regressor;
 use cleo_common::rng::DetRng;
@@ -296,6 +301,9 @@ impl Regressor for FastTreeRegressor {
         self.trees.clear();
 
         let sample_size = ((n as f64) * self.config.subsample).round().max(1.0) as usize;
+        // Rank every feature once; each stage's subsample then gets its
+        // presorted feature orders by a counting sort instead of a sort.
+        let ranks = DenseRanks::new(data)?;
         for t in 0..self.config.n_trees {
             let residuals: Vec<f64> = y.iter().zip(current.iter()).map(|(t, p)| t - p).collect();
             // Subsample rows without replacement for this stage.
@@ -304,7 +312,6 @@ impl Regressor for FastTreeRegressor {
             } else {
                 (0..n).collect()
             };
-            let sample = data.select_rows(&rows);
             let sample_residuals: Vec<f64> = rows.iter().map(|&i| residuals[i]).collect();
 
             let mut tree = DecisionTreeRegressor::ensemble_base(
@@ -312,7 +319,7 @@ impl Regressor for FastTreeRegressor {
                 self.config.min_samples_leaf,
                 self.config.seed.wrapping_add(1 + t as u64 * 6151),
             );
-            tree.fit_raw(&sample, &sample_residuals)?;
+            tree.fit_presorted(ranks.presort(data, &rows)?, &sample_residuals)?;
 
             // Update the running prediction on the full training set.
             for (i, c) in current.iter_mut().enumerate() {

@@ -6,7 +6,7 @@
 //! fitted in log space (MSLE objective) like the other cost models.
 
 use crate::dataset::Dataset;
-use crate::decision_tree::{DecisionTreeConfig, DecisionTreeRegressor};
+use crate::decision_tree::{DecisionTreeConfig, DecisionTreeRegressor, DenseRanks};
 use crate::loss::TargetTransform;
 use crate::model::Regressor;
 use cleo_common::rng::DetRng;
@@ -72,6 +72,11 @@ impl RandomForestRegressor {
     pub fn n_trees(&self) -> usize {
         self.trees.len()
     }
+
+    /// The fitted trees, in bootstrap order.
+    pub fn trees(&self) -> &[DecisionTreeRegressor] {
+        &self.trees
+    }
 }
 
 impl Regressor for RandomForestRegressor {
@@ -90,10 +95,10 @@ impl Regressor for RandomForestRegressor {
         let mut rng = DetRng::new(self.config.seed);
 
         self.trees.clear();
+        let ranks = DenseRanks::new(data)?;
         for t in 0..self.config.n_trees {
             // Bootstrap sample (with replacement).
             let boot: Vec<usize> = (0..n).map(|_| rng.index(n)).collect();
-            let sample = data.select_rows(&boot);
             let sample_targets: Vec<f64> = boot.iter().map(|&i| transformed[i]).collect();
             let mut tree = DecisionTreeRegressor::new(DecisionTreeConfig {
                 max_depth: self.config.max_depth,
@@ -103,7 +108,7 @@ impl Regressor for RandomForestRegressor {
                 seed: self.config.seed.wrapping_add(t as u64 * 7919),
                 target_transform: TargetTransform::Identity,
             });
-            tree.fit_raw(&sample, &sample_targets)?;
+            tree.fit_presorted(ranks.presort(data, &boot)?, &sample_targets)?;
             self.trees.push(tree);
         }
         self.fitted = true;

@@ -58,6 +58,21 @@ impl StandardScaler {
         out
     }
 
+    /// Standardise every feature of a dataset into a column-major buffer,
+    /// `out[j * n_rows + i]` holding row `i`'s feature `j`: the layout for
+    /// learners that sweep one feature at a time.  Element for element the
+    /// same `(v - μ) / σ` as [`StandardScaler::transform`].
+    pub(crate) fn transform_columns(&self, data: &Dataset) -> Vec<f64> {
+        let n = data.n_rows();
+        let mut out = vec![0.0; n * self.means.len()];
+        for i in 0..n {
+            for (j, &v) in data.row(i).iter().enumerate() {
+                out[j * n + i] = (v - self.means[j]) / self.stds[j];
+            }
+        }
+        out
+    }
+
     /// Convert a raw-feature-space weight vector into standardised space — the
     /// inverse of the weight part of [`StandardScaler::unscale_weights`]:
     /// `w_std[j] = w_raw[j] · σ[j]`.  Used to seed a warm-started coordinate
