@@ -9,17 +9,30 @@
 //! hashing replaced the per-node sort, the row-major descent and the
 //! per-family rehash.  A kernel change that moves one bit fails here, by name,
 //! instead of surfacing as a moved `pred_corr`.
+//!
+//! `fleet_keeps_its_bytes` pins a whole fleet the same way: epochs, a delta
+//! round, drift eviction and a watchdog rollback across three shards.  Its
+//! constant was captured while each shard still kept its own window beside
+//! the `FeedbackLoop` it now runs.
+
+use std::sync::Arc;
 
 use cleo_common::hash::StableHasher;
 use cleo_common::rng::DetRng;
 use cleo_core::feedback::{DeltaDecision, FeedbackConfig, FeedbackLoop, WindowEviction};
 use cleo_core::pipeline;
 use cleo_core::registry::{HoldoutMetrics, ModelRegistry};
+use cleo_core::sharding::{
+    ClusterRouter, DriftPolicy, ShardedFeedbackConfig, ShardedFeedbackLoop, ShardedRegistry,
+    WatchdogPolicy,
+};
 use cleo_core::trainer::{CleoTrainer, TrainerConfig};
 use cleo_engine::exec::{Simulator, SimulatorConfig};
 use cleo_engine::telemetry::TelemetryLog;
 use cleo_engine::types::{ClusterId, DayIndex};
-use cleo_engine::workload::generator::{generate_cluster_workload, ClusterConfig};
+use cleo_engine::workload::generator::{
+    generate_cluster_workload, interleave_jobs, ClusterConfig, GeneratedWorkload,
+};
 use cleo_engine::workload::JobSpec;
 use cleo_mlkit::decision_tree::TreeNode;
 use cleo_mlkit::gbt::{FastTreeConfig, FastTreeRegressor};
@@ -213,4 +226,113 @@ fn standalone_tree_fits_keep_their_nodes() {
     h.write_u64(hash_trees(fasttree.trees()));
     let got = h.finish();
     assert_eq!(got, GOLDEN_FASTTREE, "FastTree nodes hash {got:#018x}");
+}
+
+/// Hash of everything a fleet round leaves behind: each shard's published
+/// bytes and window length, and each report (wall-clock fields zeroed).
+fn hash_fleet(fleet: &ShardedFeedbackLoop, reports: &[String]) -> u64 {
+    let mut h = StableHasher::new();
+    for cluster in fleet.registry().clusters() {
+        let registry = fleet.registry().shard(cluster).unwrap();
+        h.write_bytes(&registry.snapshot_bytes().unwrap());
+        h.write_u64(fleet.window(cluster).unwrap().len() as u64);
+    }
+    for report in reports {
+        h.write_bytes(report.as_bytes());
+    }
+    h.finish()
+}
+
+#[test]
+fn fleet_keeps_its_bytes() {
+    const GOLDEN: u64 = 0x52b8_7b8c_facd_5bca;
+    let workloads: Vec<GeneratedWorkload> = (0u8..3)
+        .map(|c| generate_cluster_workload(&ClusterConfig::small(ClusterId(c)), 3))
+        .collect();
+    let day = |d: u32| -> Vec<&JobSpec> {
+        interleave_jobs(&workloads)
+            .into_iter()
+            .filter(|j| j.meta.day == DayIndex(d))
+            .collect()
+    };
+    // Day 1 split in half per cluster, so every shard sees both halves.
+    let (day1_early, day1_late): (Vec<&JobSpec>, Vec<&JobSpec>) = {
+        let jobs = day(1);
+        let mut seen = [0usize; 3];
+        let totals: Vec<usize> = (0u8..3)
+            .map(|c| {
+                jobs.iter()
+                    .filter(|j| j.meta.cluster == ClusterId(c))
+                    .count()
+            })
+            .collect();
+        jobs.into_iter().partition(|j| {
+            let c = j.meta.cluster.0 as usize;
+            seen[c] += 1;
+            seen[c] <= totals[c] / 2
+        })
+    };
+    for shard_threads in [1, 3] {
+        let registry = Arc::new(ShardedRegistry::new((0u8..3).map(ClusterId)));
+        let router = Arc::new(ClusterRouter::with_uniform_similarity(
+            registry,
+            Arc::new(HeuristicCostModel::default_model()),
+        ));
+        let mut fleet = ShardedFeedbackLoop::new(
+            ShardedFeedbackConfig {
+                shard: FeedbackConfig {
+                    eviction: WindowEviction::JobCount(80),
+                    correlation_tolerance: 10.0,
+                    error_tolerance_pct: 1e12,
+                    serving_threads: 2,
+                    trainer: TrainerConfig {
+                        threads: 2,
+                        ..TrainerConfig::default()
+                    },
+                    ..FeedbackConfig::default()
+                },
+                drift: DriftPolicy {
+                    enabled: true,
+                    threshold: 0.1,
+                },
+                watchdog: WatchdogPolicy {
+                    enabled: true,
+                    min_samples: 4,
+                    ..WatchdogPolicy::default()
+                },
+                shard_threads,
+            },
+            Simulator::new(SimulatorConfig::default()),
+            router,
+        );
+        let mut epochs = vec![fleet.run_epoch(&day(0)).unwrap()];
+        let mut delta = fleet.run_delta_round(&day1_early).unwrap();
+        epochs.push(fleet.run_epoch(&day1_late).unwrap());
+        epochs.push(fleet.run_epoch(&day(2)).unwrap());
+
+        for shard in &mut delta.shards {
+            shard.round_micros = 0;
+        }
+        for shard in epochs.iter_mut().flat_map(|e| e.shards.iter_mut()) {
+            shard.retrain_micros = 0;
+        }
+        let drift_evictions = epochs
+            .iter()
+            .flat_map(|e| &e.shards)
+            .filter(|s| s.drift_evicted > 0)
+            .count();
+        assert!(drift_evictions > 0, "{epochs:?}");
+        assert!(delta.failed.is_empty() && epochs.iter().all(|e| e.failed.is_empty()));
+        let reports = [
+            format!("{:?}", epochs[0]),
+            format!("{delta:?}"),
+            format!("{:?}", epochs[1]),
+            format!("{:?}", epochs[2]),
+        ];
+        let got = hash_fleet(&fleet, &reports);
+        assert_eq!(
+            got, GOLDEN,
+            "{shard_threads} shard threads: fleet bytes hash {got:#018x}"
+        );
+    }
 }
