@@ -1,7 +1,7 @@
 //! Experiment runners: one per table/figure of the paper.
 //!
-//! Each runner consumes the shared [`ExperimentContext`](crate::context::ExperimentContext)
-//! and returns the reproduced table/series as rendered text (the `repro` binary prints
+//! Each runner consumes the shared [`ExperimentContext`] and returns the
+//! reproduced table/series as rendered text (the `repro` binary prints
 //! it and writes CSV copies under `target/experiments/`).  The experiment ids match
 //! the per-experiment index in `DESIGN.md` and the paper-vs-measured log in
 //! `EXPERIMENTS.md`.

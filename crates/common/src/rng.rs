@@ -113,7 +113,7 @@ impl DetRng {
 
     /// Log-normal multiplicative noise with the given sigma (in log space), mean 1.
     ///
-    /// This models cloud runtime variance (Schad et al., cited as [42] in the paper):
+    /// This models cloud runtime variance (Schad et al., cited as \[42\] in the paper):
     /// the same operator on the same data can differ in latency by tens of percent
     /// between runs.
     pub fn lognormal_noise(&mut self, sigma: f64) -> f64 {

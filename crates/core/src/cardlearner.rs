@@ -1,6 +1,6 @@
 //! CardLearner baseline (Section 6.4).
 //!
-//! CardLearner (Wu et al., cited as [47] in the paper) learns *cardinality* models —
+//! CardLearner (Wu et al., cited as \[47\] in the paper) learns *cardinality* models —
 //! one Poisson regression per recurring subgraph template — and feeds the corrected
 //! cardinalities back into the default cost model.  The paper uses it as the baseline
 //! that demonstrates why fixing cardinalities alone does not fix cost estimates.  Here

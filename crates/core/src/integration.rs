@@ -8,7 +8,7 @@
 //!
 //! The predictor is held behind an [`Arc`], so one trained model version can be
 //! shared by many concurrent optimizations (see [`crate::registry`]).  A
-//! signature-keyed [`PredictionCache`] memoises combined predictions: recurring jobs
+//! signature-keyed `PredictionCache` memoises combined predictions: recurring jobs
 //! re-optimized across feedback epochs present the same `(signature, feature)` pairs
 //! again and again, and a cache hit skips every per-family model lookup and the
 //! FastTree ensemble walk.
@@ -17,7 +17,7 @@
 //! exploration probes, the costs at the chosen partition counts, the final
 //! fold — as one call ([`CostModel::exclusive_cost_sweeps_into`],
 //! [`CostModel::partition_coefficients_batch`]).  Every entry point runs
-//! [`LearnedCostModel::with_costs`]: one cache lookup per sweep, then the
+//! `LearnedCostModel::with_costs`: one cache lookup per sweep, then the
 //! call's misses through one predictor pass, each miss's rows through the
 //! per-family models that serve it and every row through the combined
 //! meta-model at once (a miss's FastTree walk shares an 8-row SIMD block with

@@ -2,7 +2,7 @@
 //!
 //! Section 2.2: "a recurring job consists of a script template that accepts different
 //! input parameters ... each instance runs on different input data, parameters and
-//! [has] potentially different statements", and Section 3.1: recurring jobs across a
+//! \[has\] potentially different statements", and Section 3.1: recurring jobs across a
 //! cluster share *common subexpressions* because they read the same upstream datasets.
 //!
 //! This module models both properties.  Templates are grouped into **families**; every

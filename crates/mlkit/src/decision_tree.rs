@@ -474,7 +474,7 @@ impl DecisionTreeRegressor {
     }
 
     /// Rebuild a tree from exported nodes.  The compiled evaluation table is
-    /// derived from the nodes exactly as [`fit_presorted`](Self::fit_presorted) derives
+    /// derived from the nodes exactly as `fit_presorted` derives
     /// it, so predictions are bit-identical to the exported tree's.
     ///
     /// Child indices are validated (in-range and strictly increasing past the

@@ -1,6 +1,6 @@
 //! Elastic net regression via cyclic coordinate descent.
 //!
-//! Elastic net (Zou & Hastie, cited as [53] in the paper) is the paper's learner of
+//! Elastic net (Zou & Hastie, cited as \[53\] in the paper) is the paper's learner of
 //! choice for the individual cost models: with 25–30 candidate features and often
 //! fewer than 30 noisy samples per operator-subgraph, the combined L1/L2 penalty
 //! performs automatic feature selection and resists over-fitting, while staying

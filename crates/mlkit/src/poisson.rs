@@ -1,6 +1,6 @@
 //! Poisson regression — the learner behind the CardLearner baseline.
 //!
-//! The paper compares Cleo against CardLearner (Wu et al., cited as [47]), which
+//! The paper compares Cleo against CardLearner (Wu et al., cited as \[47\]), which
 //! improves *cardinality* estimates with a Poisson regression model but keeps the
 //! default cost model.  Poisson regression models a non-negative count-like target
 //! `y` as `E[y | x] = exp(w·x + b)` and maximises the Poisson log-likelihood; we fit

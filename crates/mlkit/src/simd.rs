@@ -301,7 +301,7 @@ unsafe fn dot8_avx512(block: &[f64], weights: &[f64]) -> [f64; 8] {
 /// `t` (slot 0 unused, slots 1–7 the heap-ordered splits).  Per lane the
 /// additions happen in tree order — the scalar accumulation sequence — and the
 /// leaf choice reproduces the sequential descent exactly (see
-/// [`leaf_masks`]).
+/// `leaf_masks`).
 #[inline]
 pub fn tree8_depth3_accumulate(
     splits: &[[(u32, f64); 8]],

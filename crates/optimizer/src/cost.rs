@@ -10,8 +10,8 @@
 //! * [`DefaultCostModel`] — the style of cost model the paper measures a 0.04 Pearson
 //!   correlation for: per-row constants applied to *estimated* cardinalities, no
 //!   knowledge of UDF cost, no per-partition overheads, no context sensitivity.
-//! * [`ManuallyTunedCostModel`] — the "alternate cost model available under a flag"
-//!   (Section 2.4): same structure with constants nudged closer to reality, which
+//! * [`HeuristicCostModel::manually_tuned`] — the "alternate cost model
+//!   available under a flag" (Section 2.4): same structure with constants nudged closer to reality, which
 //!   improves correlation slightly (0.04 → 0.10 in the paper) but cannot fix the
 //!   structural blind spots.
 

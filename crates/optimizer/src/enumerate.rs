@@ -7,14 +7,14 @@
 //! optional local aggregation), inserts the property *enforcers* (Exchange to satisfy a
 //! partitioning requirement, Sort to satisfy a sort requirement) only when the child's
 //! derived properties do not already satisfy them, and costs every candidate through
-//! the pluggable [`CostModel`](crate::cost::CostModel).  Alternatives are pruned per
+//! the pluggable [`CostModel`].  Alternatives are pruned per
 //! interesting physical property, which keeps enumeration polynomial while preserving
 //! the plan choices the paper's evaluation exercises (exchange elision, merge-join
 //! adoption, local aggregation, partition-count changes).
 //!
 //! A level — the alternatives of one logical operator — is costed in one call:
 //! building the level records every operator it creates and how each
-//! alternative's cost folds their exclusive costs ([`LevelFold`]); the level's
+//! alternative's cost folds their exclusive costs (`LevelFold`); the level's
 //! operators are then costed together and the folds resolved, in the additions
 //! and the order inline costing would have made.
 

@@ -10,7 +10,8 @@
 //!
 //! [`SharedOptimizer`] drives the provider: every job snapshots the provider once,
 //! optimizes against that snapshot, and stamps the model version into the plan's
-//! [`OptimizationStats`] — which is how version provenance flows into telemetry.
+//! [`OptimizationStats`](crate::OptimizationStats) — which is how version
+//! provenance flows into telemetry.
 
 use std::sync::Arc;
 
@@ -38,7 +39,8 @@ pub struct ServedModel {
     /// When the served version was published as a sub-epoch delta, the
     /// incumbent version the delta was applied over; `None` for full-epoch
     /// versions and the fallback model.  Flows into
-    /// [`OptimizationStats::model_delta_base`] and from there into telemetry.
+    /// [`OptimizationStats::model_delta_base`](crate::OptimizationStats::model_delta_base)
+    /// and from there into telemetry.
     pub delta_base: Option<u64>,
 }
 
@@ -55,7 +57,7 @@ pub trait CostModelProvider: Send + Sync {
 
     /// Monotone version stamp of the model [`CostModelProvider::current`] would
     /// return (0 = an unversioned / fallback model).  Stamped into every optimized
-    /// plan's [`OptimizationStats`].
+    /// plan's [`OptimizationStats`](crate::OptimizationStats).
     fn current_version(&self) -> u64 {
         0
     }
