@@ -5,10 +5,11 @@
 //! helpers of [`crate::pipeline`] only cover a single turn.  [`FeedbackLoop`] is the
 //! subsystem version of that cycle:
 //!
-//! 1. **Serve** — each epoch's jobs are optimized concurrently through the
-//!    [`SharedOptimizer`] against whichever registry version is current (the
-//!    hand-written fallback until the first publish), simulated, and their telemetry
-//!    stamped with the epoch and serving model version.
+//! 1. **Serve** — each epoch's jobs are optimized concurrently through a
+//!    [`SharedOptimizer`](cleo_optimizer::SharedOptimizer) against whichever
+//!    registry version is current (the hand-written fallback until the first
+//!    publish), simulated, and their telemetry stamped with the epoch and
+//!    serving model version.
 //! 2. **Window** — telemetry accumulates in a bounded sliding window
 //!    ([`WindowEviction`]: job-count FIFO or trailing-days retention), so training
 //!    cost and drift sensitivity stay constant as the deployment ages.
@@ -26,12 +27,10 @@ use cleo_common::Result;
 use cleo_engine::exec::Simulator;
 use cleo_engine::telemetry::{JobTelemetry, TelemetryLog};
 use cleo_engine::workload::JobSpec;
-use cleo_optimizer::{
-    CostModel, CostModelProvider, HeuristicCostModel, OptimizerConfig, SharedOptimizer,
-};
+use cleo_optimizer::{CostModel, CostModelProvider, HeuristicCostModel, OptimizerConfig};
 
 use crate::integration::LearnedCostModel;
-use crate::models::WarmStartStats;
+use crate::models::{ModelStore, OperatorSample, WarmStartStats};
 use crate::pipeline::evaluate_cost_model_jobs;
 use crate::registry::{HoldoutMetrics, ModelRegistry, RegistryCostModelProvider};
 use crate::trainer::{CleoTrainer, TrainerConfig};
@@ -237,7 +236,6 @@ impl EpochReport {
 /// The continuous feedback loop (serve → window → retrain → guarded publish).
 pub struct FeedbackLoop {
     config: FeedbackConfig,
-    registry: Arc<ModelRegistry>,
     provider: Arc<RegistryCostModelProvider>,
     simulator: Simulator,
     window: TelemetryLog,
@@ -248,28 +246,27 @@ impl FeedbackLoop {
     /// Create a loop serving the default hand-written cost model until the first
     /// version is published.
     pub fn new(config: FeedbackConfig, simulator: Simulator) -> Self {
-        Self::with_fallback(
+        Self::with_registry(
             config,
             simulator,
+            Arc::new(ModelRegistry::new()),
             Arc::new(HeuristicCostModel::default_model()),
         )
     }
 
-    /// Create a loop with an explicit fallback (version 0) cost model.
-    pub fn with_fallback(
+    /// Create a loop that publishes into `registry` and treats `fallback` as
+    /// version 0 while the registry is cold.  Each shard of a
+    /// [`crate::sharding::ShardedFeedbackLoop`] is one such loop, over its
+    /// cluster's registry shard and the router's fallback model.
+    pub fn with_registry(
         config: FeedbackConfig,
         simulator: Simulator,
+        registry: Arc<ModelRegistry>,
         fallback: Arc<dyn CostModel>,
     ) -> Self {
-        let registry = Arc::new(ModelRegistry::new());
-        let provider = Arc::new(RegistryCostModelProvider::new(
-            Arc::clone(&registry),
-            fallback,
-        ));
         FeedbackLoop {
             config,
-            registry,
-            provider,
+            provider: Arc::new(RegistryCostModelProvider::new(registry, fallback)),
             simulator,
             window: TelemetryLog::new(),
             epoch: 0,
@@ -278,14 +275,15 @@ impl FeedbackLoop {
 
     /// The model registry the loop publishes into.
     pub fn registry(&self) -> &Arc<ModelRegistry> {
-        &self.registry
+        self.provider.registry()
     }
 
     /// Attach an observability handle to the loop's registry: publish,
     /// rollback, and watchdog trace events for this single-cluster loop are
     /// labelled with [`cleo_common::obs::NO_CLUSTER`] (there is no shard).
     pub fn attach_obs(&self, obs: Arc<cleo_common::obs::Obs>) {
-        self.registry.attach_obs(obs, cleo_common::obs::NO_CLUSTER);
+        self.registry()
+            .attach_obs(obs, cleo_common::obs::NO_CLUSTER);
     }
 
     /// The provider concurrent optimizers serve from (shared with the loop, so a
@@ -314,7 +312,7 @@ impl FeedbackLoop {
     /// The holdout stride the publish guard uses: every `stride`-th window job
     /// (by stable window order) is held out from training and scored instead.
     pub fn holdout_stride(&self) -> usize {
-        holdout_stride(&self.config)
+        (1.0 / self.config.holdout_fraction.clamp(0.05, 0.5)).round() as usize
     }
 
     /// Epochs completed so far.
@@ -322,39 +320,46 @@ impl FeedbackLoop {
         self.epoch
     }
 
+    /// Align the loop's epoch with a fleet's: a shard's retrains and deltas
+    /// are seeded and stamped with the fleet epoch.
+    pub(crate) fn set_epoch(&mut self, epoch: u32) {
+        self.epoch = epoch;
+    }
+
     /// Ingest externally executed telemetry into the sliding window (applies the
     /// eviction policy).  Returns the number of evicted jobs.
     pub fn observe(&mut self, log: TelemetryLog) -> usize {
         self.window.extend(log);
-        self.evict()
-    }
-
-    fn evict(&mut self) -> usize {
         match self.config.eviction {
             WindowEviction::JobCount(max_jobs) => self.window.drain_window(max_jobs).len(),
             WindowEviction::RecentDays(days) => self.window.retain_recent_days(days).len(),
         }
     }
 
+    /// Evict all but the newest `keep` window jobs (a fleet shard's drift
+    /// eviction).  Returns the number of evicted jobs.
+    pub(crate) fn keep_newest(&mut self, keep: usize) -> usize {
+        self.window.drain_window(keep).len()
+    }
+
+    /// Serve `jobs` against the current version: optimize concurrently,
+    /// simulate in job order, stamp provenance with the loop's epoch.
+    fn serve(&self, jobs: &[&JobSpec]) -> Result<TelemetryLog> {
+        crate::pipeline::run_jobs_shared(
+            jobs,
+            Arc::clone(&self.provider) as Arc<dyn CostModelProvider>,
+            self.config.optimizer,
+            &self.simulator,
+            self.epoch,
+            self.config.serving_threads,
+        )
+    }
+
     /// Run one full epoch over `jobs`: serve, ingest, retrain, guarded publish.
     pub fn run_epoch(&mut self, jobs: &[&JobSpec]) -> Result<EpochReport> {
         self.epoch += 1;
-        let epoch = self.epoch;
-        let served_version = self.registry.current_version();
-
-        // Serve: optimize concurrently against the current version, simulate in
-        // job order, stamp provenance (see `pipeline::run_jobs_shared`).
-        let shared = SharedOptimizer::new(
-            Arc::clone(&self.provider) as Arc<dyn CostModelProvider>,
-            self.config.optimizer,
-        );
-        let served = crate::pipeline::run_jobs_shared(
-            jobs,
-            &shared,
-            &self.simulator,
-            epoch,
-            self.config.serving_threads,
-        )?;
+        let served_version = self.registry().current_version();
+        let served = self.serve(jobs)?;
         let jobs_run = served.len();
         let total_latency = served.total_latency();
         let total_cpu_seconds = served.total_cpu_seconds();
@@ -362,7 +367,7 @@ impl FeedbackLoop {
 
         let retrain = self.retrain()?;
         Ok(EpochReport {
-            epoch,
+            epoch: self.epoch,
             served_version,
             jobs_run,
             total_latency,
@@ -371,20 +376,6 @@ impl FeedbackLoop {
             evicted_jobs,
             retrain,
         })
-    }
-
-    /// Retrain over the current window and publish the candidate if it does not
-    /// regress vs. the incumbent on the holdout slice.  Called by
-    /// [`FeedbackLoop::run_epoch`]; exposed for loops that ingest telemetry via
-    /// [`FeedbackLoop::observe`] (e.g. replaying pre-executed logs).
-    pub fn retrain(&mut self) -> Result<RetrainOutcome> {
-        retrain_window(
-            &self.window,
-            &self.config,
-            self.epoch,
-            &self.registry,
-            self.provider.fallback(),
-        )
     }
 
     /// Run one **sub-epoch delta round** over `jobs`: serve and ingest exactly
@@ -396,18 +387,8 @@ impl FeedbackLoop {
     /// the next full epoch will compute (delta-equivalence).  Does not advance
     /// the epoch counter.
     pub fn run_delta_round(&mut self, jobs: &[&JobSpec]) -> Result<DeltaRoundReport> {
-        let served_version = self.registry.current_version();
-        let shared = SharedOptimizer::new(
-            Arc::clone(&self.provider) as Arc<dyn CostModelProvider>,
-            self.config.optimizer,
-        );
-        let served = crate::pipeline::run_jobs_shared(
-            jobs,
-            &shared,
-            &self.simulator,
-            self.epoch,
-            self.config.serving_threads,
-        )?;
+        let served_version = self.registry().current_version();
+        let served = self.serve(jobs)?;
         let jobs_run = served.len();
         let total_latency = served.total_latency();
         let evicted_jobs = self.observe(served);
@@ -422,326 +403,301 @@ impl FeedbackLoop {
         })
     }
 
+    /// The guard's deterministic holdout split of the window: every
+    /// [`FeedbackLoop::holdout_stride`]-th job (by stable window order) is
+    /// held out, the rest train.  `None` when the window is too small to
+    /// train or either side would be empty.  The split depends only on the
+    /// window contents — never on thread count — and borrows, so nothing in
+    /// the window is cloned.
+    fn holdout_split(&self) -> Option<(Vec<&JobTelemetry>, Vec<&JobTelemetry>)> {
+        if self.window.len() < self.config.min_training_jobs.max(2) {
+            return None;
+        }
+        let stride = self.holdout_stride();
+        let (holdout, train): (Vec<_>, Vec<_>) = self
+            .window
+            .jobs()
+            .iter()
+            .enumerate()
+            .partition(|(i, _)| i % stride == 0);
+        let holdout: Vec<&JobTelemetry> = holdout.into_iter().map(|(_, j)| j).collect();
+        let train: Vec<&JobTelemetry> = train.into_iter().map(|(_, j)| j).collect();
+        (!holdout.is_empty() && !train.is_empty()).then_some((holdout, train))
+    }
+
+    /// Retrain over the current window and publish the candidate if it does not
+    /// regress vs. the incumbent on the holdout slice.  Called by
+    /// [`FeedbackLoop::run_epoch`]; exposed for loops that ingest telemetry via
+    /// [`FeedbackLoop::observe`] (e.g. replaying pre-executed logs).
+    ///
+    /// The incumbent is the registry's current version (or the fallback while
+    /// the registry is cold); with [`FeedbackConfig::warm_start`] the shipped
+    /// stores reuse or warm-start from the incumbent's per-signature models.
+    pub fn retrain(&mut self) -> Result<RetrainOutcome> {
+        let Some((holdout, train)) = self.holdout_split() else {
+            return Ok(RetrainOutcome {
+                decision: PublishDecision::SkippedTooFewJobs,
+                candidate: None,
+                incumbent: None,
+                warm: WarmStartStats::default(),
+            });
+        };
+        let config = &self.config;
+        let registry = self.registry();
+
+        // The incumbent (serving chain) is the guard's baseline and the reuse
+        // source; the warm-start *seed* comes from the last full-epoch basis, so a
+        // full epoch's fits are bit-independent of any sub-epoch deltas published
+        // since that basis (the delta-equivalence property).  With no deltas the
+        // basis IS the incumbent.  Keeping the snapshot `Arc`s alive pins all of
+        // it for the whole round.
+        let incumbent_snapshot = registry.current();
+        let basis_snapshot = registry.current_full_basis();
+        let incumbent_model: Arc<dyn CostModel> = match &incumbent_snapshot {
+            Some(s) => Arc::clone(s.cost_model()) as Arc<dyn CostModel>,
+            None => Arc::clone(self.provider.fallback()),
+        };
+        let chain_predictor = incumbent_snapshot
+            .as_ref()
+            .filter(|_| config.warm_start)
+            .map(|s| s.predictor());
+        let basis_predictor = basis_snapshot
+            .as_ref()
+            .filter(|_| config.warm_start)
+            .map(|s| s.predictor());
+
+        let trainer = CleoTrainer::new(config.trainer.for_epoch(self.epoch));
+        let samples = CleoTrainer::collect_samples_from(train.iter().copied());
+        let (predictor, warm) =
+            trainer.train_from_samples_seeded(samples, chain_predictor, basis_predictor)?;
+        let predictor = Arc::new(predictor);
+
+        // Guard: candidate and incumbent are measured by the same instrument (the
+        // CostModel seam over the holdout jobs), so the comparison is apples to
+        // apples even when the incumbent is the hand-written fallback.
+        let candidate_model = LearnedCostModel::without_cache(Arc::clone(&predictor));
+        let candidate = holdout_metrics(&candidate_model, &holdout);
+        let incumbent = holdout_metrics(incumbent_model.as_ref(), &holdout);
+
+        if candidate.regresses_from(
+            &incumbent,
+            config.correlation_tolerance,
+            config.error_tolerance_pct,
+        ) {
+            return Ok(RetrainOutcome {
+                decision: PublishDecision::RejectedRegression,
+                candidate: Some(candidate),
+                incumbent: Some(incumbent),
+                warm,
+            });
+        }
+
+        let snapshot = registry.publish(predictor, self.epoch, candidate);
+        Ok(RetrainOutcome {
+            decision: PublishDecision::Published {
+                version: snapshot.version(),
+            },
+            candidate: Some(candidate),
+            incumbent: Some(incumbent),
+            warm,
+        })
+    }
+
     /// Retrain **only the dirty signatures** of the current window and publish
     /// them as a sub-epoch delta (the guarded-retrain core of
     /// [`FeedbackLoop::run_delta_round`]; exposed for loops that ingest
     /// telemetry via [`FeedbackLoop::observe`]).
+    ///
+    /// The round refits only signatures whose window sample multiset moved
+    /// since the incumbent ([`ModelStore::train_dirty`]'s dirty predicate),
+    /// seeds every refit from the last **full-epoch basis** (so the next full
+    /// epoch is bit-independent of this delta), guards each refit with the
+    /// existing per-signature holdout predicate — a regressing signature is
+    /// dropped from the delta rather than vetoing it wholesale — and publishes
+    /// the survivors via [`ModelRegistry::publish_delta`].
     pub fn publish_dirty(&mut self) -> Result<DeltaOutcome> {
-        delta_round_window(&self.window, &self.config, self.epoch, &self.registry)
-    }
-}
+        use crate::registry::ModelDelta;
+        use crate::signature::ModelFamily;
 
-/// The holdout stride implied by a config's holdout fraction.
-pub(crate) fn holdout_stride(config: &FeedbackConfig) -> usize {
-    (1.0 / config.holdout_fraction.clamp(0.05, 0.5)).round() as usize
-}
+        let config = &self.config;
+        let registry = self.registry();
+        // Deltas apply over an incumbent; a cold registry has nothing to patch.
+        let Some(incumbent) = registry.current() else {
+            return Ok(DeltaOutcome::skipped(DeltaDecision::SkippedNoBase));
+        };
+        // The same deterministic holdout split as the full epoch, so the guard
+        // judges candidates on jobs their fits never saw.
+        let Some((holdout, train)) = self.holdout_split() else {
+            return Ok(DeltaOutcome::skipped(DeltaDecision::SkippedTooFewJobs));
+        };
 
-/// One guarded retrain round over a telemetry window, publishing into
-/// `registry` on success: the epoch core shared by [`FeedbackLoop`] and the
-/// per-cluster shard epochs of [`crate::sharding::ShardedFeedbackLoop`].  The
-/// incumbent is the registry's current version (or `fallback` while the
-/// registry is cold); with [`FeedbackConfig::warm_start`] the shipped stores
-/// reuse or warm-start from the incumbent's per-signature models.
-pub(crate) fn retrain_window(
-    window: &TelemetryLog,
-    config: &FeedbackConfig,
-    epoch: u32,
-    registry: &ModelRegistry,
-    fallback: &Arc<dyn CostModel>,
-) -> Result<RetrainOutcome> {
-    let skipped = RetrainOutcome {
-        decision: PublishDecision::SkippedTooFewJobs,
-        candidate: None,
-        incumbent: None,
-        warm: WarmStartStats::default(),
-    };
-    if window.len() < config.min_training_jobs.max(2) {
-        return Ok(skipped);
-    }
+        let basis = registry
+            .current_full_basis()
+            .expect("an incumbent implies a full basis on its lineage");
+        let families = ModelFamily::all();
+        let chain_stores: Vec<Option<&ModelStore>> = families
+            .iter()
+            .map(|&f| incumbent.predictor().store(f))
+            .collect();
+        let basis_stores: Vec<Option<&ModelStore>> = families
+            .iter()
+            .map(|&f| {
+                if config.warm_start {
+                    basis.predictor().store(f)
+                } else {
+                    None
+                }
+            })
+            .collect();
 
-    // Deterministic holdout: every k-th window job (by stable window order).
-    // The split depends only on the window contents — never on thread count.
-    // Borrowed splits: nothing in the window is cloned on this path.
-    let stride = holdout_stride(config);
-    let (holdout, train): (Vec<_>, Vec<_>) = window
-        .jobs()
-        .iter()
-        .enumerate()
-        .partition(|(i, _)| i % stride == 0);
-    let holdout: Vec<&JobTelemetry> = holdout.into_iter().map(|(_, j)| j).collect();
-    let train: Vec<&JobTelemetry> = train.into_iter().map(|(_, j)| j).collect();
-    if holdout.is_empty() || train.is_empty() {
-        return Ok(skipped);
-    }
+        // Refit the dirty set only.  No shuffle, no meta retrain: groups are
+        // canonically ordered, so each fit is the bit-exact model the next full
+        // epoch would produce for the same group.
+        let samples = CleoTrainer::collect_samples_from(train.iter().copied());
+        let (mut payload, stats) = ModelStore::train_dirty(
+            &families,
+            &samples,
+            config.trainer.min_samples_per_model,
+            config.trainer.effective_threads(),
+            &chain_stores,
+            &basis_stores,
+            config.delta_min_dirty_share,
+        )?;
+        let dirty_signatures = stats.warm_fits + stats.cold_fits;
+        if dirty_signatures == 0 {
+            return Ok(DeltaOutcome {
+                decision: DeltaDecision::SkippedNothingDirty,
+                unchanged_signatures: stats.reused,
+                dirty_signatures: 0,
+                deferred_signatures: stats.deferred,
+                dropped_regressions: 0,
+                candidate: None,
+            });
+        }
 
-    // The incumbent (serving chain) is the guard's baseline and the reuse
-    // source; the warm-start *seed* comes from the last full-epoch basis, so a
-    // full epoch's fits are bit-independent of any sub-epoch deltas published
-    // since that basis (the delta-equivalence property).  With no deltas the
-    // basis IS the incumbent.  Keeping the snapshot `Arc`s alive pins all of
-    // it for the whole round.
-    let incumbent_snapshot = registry.current();
-    let basis_snapshot = registry.current_full_basis();
-    let incumbent_model: Arc<dyn CostModel> = match &incumbent_snapshot {
-        Some(s) => Arc::clone(s.cost_model()) as Arc<dyn CostModel>,
-        None => Arc::clone(fallback),
-    };
-    let chain_predictor = incumbent_snapshot
-        .as_ref()
-        .filter(|_| config.warm_start)
-        .map(|s| s.predictor());
-    let basis_predictor = basis_snapshot
-        .as_ref()
-        .filter(|_| config.warm_start)
-        .map(|s| s.predictor());
-
-    let trainer = CleoTrainer::new(config.trainer.for_epoch(epoch));
-    let samples = CleoTrainer::collect_samples_from(train.iter().copied());
-    let (predictor, warm) =
-        trainer.train_from_samples_seeded(samples, chain_predictor, basis_predictor)?;
-    let predictor = Arc::new(predictor);
-
-    // Guard: candidate and incumbent are measured by the same instrument (the
-    // CostModel seam over the holdout jobs), so the comparison is apples to
-    // apples even when the incumbent is the hand-written fallback.
-    let candidate_model = LearnedCostModel::without_cache(Arc::clone(&predictor));
-    let candidate = holdout_metrics(&candidate_model, &holdout);
-    let incumbent = holdout_metrics(incumbent_model.as_ref(), &holdout);
-
-    if candidate.regresses_from(
-        &incumbent,
-        config.correlation_tolerance,
-        config.error_tolerance_pct,
-    ) {
-        return Ok(RetrainOutcome {
-            decision: PublishDecision::RejectedRegression,
-            candidate: Some(candidate),
-            incumbent: Some(incumbent),
-            warm,
-        });
-    }
-
-    let snapshot = registry.publish(predictor, epoch, candidate);
-    Ok(RetrainOutcome {
-        decision: PublishDecision::Published {
-            version: snapshot.version(),
-        },
-        candidate: Some(candidate),
-        incumbent: Some(incumbent),
-        warm,
-    })
-}
-
-/// One sub-epoch delta round over a telemetry window, publishing a
-/// copy-on-write delta into `registry`: the core shared by
-/// [`FeedbackLoop::publish_dirty`] and the per-shard delta rounds of
-/// [`crate::sharding::ShardedFeedbackLoop::run_delta_round`].
-///
-/// The round refits only signatures whose window sample multiset moved since
-/// the incumbent ([`ModelStore::train_dirty`]'s dirty predicate), seeds every
-/// refit from the last **full-epoch basis** (so the next full epoch is
-/// bit-independent of this delta), guards each refit with the existing
-/// per-signature holdout predicate — a regressing signature is dropped from
-/// the delta rather than vetoing it wholesale — and publishes the survivors
-/// via [`ModelRegistry::publish_delta`].
-pub(crate) fn delta_round_window(
-    window: &TelemetryLog,
-    config: &FeedbackConfig,
-    epoch: u32,
-    registry: &ModelRegistry,
-) -> Result<DeltaOutcome> {
-    use crate::models::{ModelStore, OperatorSample};
-    use crate::registry::ModelDelta;
-    use crate::signature::ModelFamily;
-
-    // Deltas apply over an incumbent; a cold registry has nothing to patch.
-    let Some(incumbent) = registry.current() else {
-        return Ok(DeltaOutcome::skipped(DeltaDecision::SkippedNoBase));
-    };
-    if window.len() < config.min_training_jobs.max(2) {
-        return Ok(DeltaOutcome::skipped(DeltaDecision::SkippedTooFewJobs));
-    }
-
-    // The same deterministic holdout split as the full epoch, so the guard
-    // judges candidates on jobs their fits never saw.
-    let stride = holdout_stride(config);
-    let (holdout, train): (Vec<_>, Vec<_>) = window
-        .jobs()
-        .iter()
-        .enumerate()
-        .partition(|(i, _)| i % stride == 0);
-    let holdout: Vec<&JobTelemetry> = holdout.into_iter().map(|(_, j)| j).collect();
-    let train: Vec<&JobTelemetry> = train.into_iter().map(|(_, j)| j).collect();
-    if holdout.is_empty() || train.is_empty() {
-        return Ok(DeltaOutcome::skipped(DeltaDecision::SkippedTooFewJobs));
-    }
-
-    let basis = registry
-        .current_full_basis()
-        .expect("an incumbent implies a full basis on its lineage");
-    let families = ModelFamily::all();
-    let chain_stores: Vec<Option<&ModelStore>> = families
-        .iter()
-        .map(|&f| incumbent.predictor().store(f))
-        .collect();
-    let basis_stores: Vec<Option<&ModelStore>> = families
-        .iter()
-        .map(|&f| {
-            if config.warm_start {
-                basis.predictor().store(f)
-            } else {
-                None
+        // Per-signature guard: judge every refit against the incumbent's model for
+        // the same signature on the signature's own holdout samples, with the same
+        // regression predicate the epoch-level guard uses.  A regressing signature
+        // is dropped from the delta; the rest still ship.  Holdout samples are
+        // grouped by family signature once (not rescanned per dirty signature),
+        // and the surviving refits' holdout pairs double as the published
+        // snapshot's metrics — a delta's holdout record describes what changed.
+        let holdout_samples: Vec<OperatorSample> =
+            CleoTrainer::collect_samples_from(holdout.iter().copied());
+        let mut holdout_by_sig: Vec<std::collections::HashMap<u64, Vec<&OperatorSample>>> =
+            families.iter().map(|_| Default::default()).collect();
+        for s in &holdout_samples {
+            for (family_index, &family) in families.iter().enumerate() {
+                holdout_by_sig[family_index]
+                    .entry(s.signatures.for_family(family))
+                    .or_default()
+                    .push(s);
             }
-        })
-        .collect();
+        }
+        let mut dropped = 0usize;
+        let mut candidate_pairs: Vec<(f64, f64)> = Vec::new();
+        for (family_index, _) in families.iter().enumerate() {
+            let candidate_store = &payload[family_index];
+            let chain = chain_stores[family_index];
+            let mut regressing: Vec<u64> = Vec::new();
+            for signature in candidate_store.signatures() {
+                let slice = match holdout_by_sig[family_index].get(&signature) {
+                    Some(slice) if !slice.is_empty() => slice.as_slice(),
+                    _ => continue, // no holdout evidence: keep the fresher fit
+                };
+                let candidate = signature_holdout_metrics(candidate_store, signature, slice);
+                // A signature the incumbent does not cover has nothing to regress
+                // from; covered ones are judged with the epoch guard's predicate.
+                if let Some(chain) = chain.filter(|c| c.covers(signature)) {
+                    let incumbent_metrics = signature_holdout_metrics(chain, signature, slice);
+                    if candidate.regresses_from(
+                        &incumbent_metrics,
+                        config.correlation_tolerance,
+                        config.error_tolerance_pct,
+                    ) {
+                        regressing.push(signature);
+                        continue;
+                    }
+                }
+                for s in slice {
+                    if let Some(p) = candidate_store.predict(signature, &s.features) {
+                        candidate_pairs.push((p, s.exclusive_seconds));
+                    }
+                }
+            }
+            if !regressing.is_empty() {
+                dropped += regressing.len();
+                payload[family_index].retain(|sig| !regressing.contains(&sig));
+            }
+        }
 
-    // Refit the dirty set only.  No shuffle, no meta retrain: groups are
-    // canonically ordered, so each fit is the bit-exact model the next full
-    // epoch would produce for the same group.
-    let samples = CleoTrainer::collect_samples_from(train.iter().copied());
-    let (mut payload, stats) = ModelStore::train_dirty(
-        &families,
-        &samples,
-        config.trainer.min_samples_per_model,
-        config.trainer.effective_threads(),
-        &chain_stores,
-        &basis_stores,
-        config.delta_min_dirty_share,
-    )?;
-    let dirty_signatures = stats.warm_fits + stats.cold_fits;
-    if dirty_signatures == 0 {
-        return Ok(DeltaOutcome {
-            decision: DeltaDecision::SkippedNothingDirty,
-            unchanged_signatures: stats.reused,
-            dirty_signatures: 0,
-            deferred_signatures: stats.deferred,
-            dropped_regressions: 0,
-            candidate: None,
-        });
-    }
-
-    // Per-signature guard: judge every refit against the incumbent's model for
-    // the same signature on the signature's own holdout samples, with the same
-    // regression predicate the epoch-level guard uses.  A regressing signature
-    // is dropped from the delta; the rest still ship.  Holdout samples are
-    // grouped by family signature once (not rescanned per dirty signature),
-    // and the surviving refits' holdout pairs double as the published
-    // snapshot's metrics — a delta's holdout record describes what changed.
-    let holdout_samples: Vec<OperatorSample> =
-        CleoTrainer::collect_samples_from(holdout.iter().copied());
-    let mut holdout_by_sig: Vec<std::collections::HashMap<u64, Vec<&OperatorSample>>> =
-        families.iter().map(|_| Default::default()).collect();
-    for s in &holdout_samples {
+        let mut changed: Vec<(ModelFamily, u64, u64)> = Vec::new();
         for (family_index, &family) in families.iter().enumerate() {
-            holdout_by_sig[family_index]
-                .entry(s.signatures.for_family(family))
-                .or_default()
-                .push(s);
-        }
-    }
-    let mut dropped = 0usize;
-    let mut candidate_pairs: Vec<(f64, f64)> = Vec::new();
-    for (family_index, _) in families.iter().enumerate() {
-        let candidate_store = &payload[family_index];
-        let chain = chain_stores[family_index];
-        let mut regressing: Vec<u64> = Vec::new();
-        for signature in candidate_store.signatures() {
-            let slice = match holdout_by_sig[family_index].get(&signature) {
-                Some(slice) if !slice.is_empty() => slice.as_slice(),
-                _ => continue, // no holdout evidence: keep the fresher fit
-            };
-            let candidate = signature_holdout_metrics(candidate_store, signature, slice);
-            // A signature the incumbent does not cover has nothing to regress
-            // from; covered ones are judged with the epoch guard's predicate.
-            if let Some(chain) = chain.filter(|c| c.covers(signature)) {
-                let incumbent_metrics = signature_holdout_metrics(chain, signature, slice);
-                if candidate.regresses_from(
-                    &incumbent_metrics,
-                    config.correlation_tolerance,
-                    config.error_tolerance_pct,
-                ) {
-                    regressing.push(signature);
-                    continue;
-                }
-            }
-            for s in slice {
-                if let Some(p) = candidate_store.predict(signature, &s.features) {
-                    candidate_pairs.push((p, s.exclusive_seconds));
-                }
+            for signature in payload[family_index].signatures() {
+                let fingerprint = payload[family_index]
+                    .fingerprint_of(signature)
+                    .expect("signature enumerated from this store");
+                changed.push((family, signature, fingerprint));
             }
         }
-        if !regressing.is_empty() {
-            dropped += regressing.len();
-            payload[family_index].retain(|sig| !regressing.contains(&sig));
+        if changed.is_empty() {
+            return Ok(DeltaOutcome {
+                decision: DeltaDecision::SkippedNothingDirty,
+                unchanged_signatures: stats.reused,
+                dirty_signatures,
+                deferred_signatures: stats.deferred,
+                dropped_regressions: dropped,
+                candidate: None,
+            });
         }
-    }
 
-    let mut changed: Vec<(ModelFamily, u64, u64)> = Vec::new();
-    for (family_index, &family) in families.iter().enumerate() {
-        for signature in payload[family_index].signatures() {
-            let fingerprint = payload[family_index]
-                .fingerprint_of(signature)
-                .expect("signature enumerated from this store");
-            changed.push((family, signature, fingerprint));
-        }
-    }
-    if changed.is_empty() {
-        return Ok(DeltaOutcome {
-            decision: DeltaDecision::SkippedNothingDirty,
+        let delta = ModelDelta {
+            base_version: incumbent.version(),
+            epoch: self.epoch,
+            payload,
+            changed,
+            dropped_regressions: dropped,
+        };
+        // The published snapshot's holdout metrics describe the delta's changed
+        // signatures over their holdout slice (unchanged signatures are exactly
+        // the incumbent's, whose metrics its own snapshot already records).  With
+        // no holdout evidence for any survivor, the incumbent's record carries
+        // over unchanged.
+        let candidate = if candidate_pairs.is_empty() {
+            *incumbent.holdout()
+        } else {
+            use cleo_common::stats;
+            let preds: Vec<f64> = candidate_pairs.iter().map(|p| p.0).collect();
+            let actuals: Vec<f64> = candidate_pairs.iter().map(|p| p.1).collect();
+            HoldoutMetrics {
+                correlation: stats::pearson(&preds, &actuals),
+                median_error_pct: stats::median_error_pct(&preds, &actuals),
+                sample_count: preds.len(),
+            }
+        };
+        let changed_signatures = delta.changed_signatures();
+        let snapshot = registry.publish_delta(&delta, candidate)?;
+        Ok(DeltaOutcome {
+            decision: DeltaDecision::Published {
+                version: snapshot.version(),
+                base_version: delta.base_version,
+                changed_signatures,
+            },
             unchanged_signatures: stats.reused,
             dirty_signatures,
             deferred_signatures: stats.deferred,
             dropped_regressions: dropped,
-            candidate: None,
-        });
+            candidate: Some(candidate),
+        })
     }
-
-    let delta = ModelDelta {
-        base_version: incumbent.version(),
-        epoch,
-        payload,
-        changed,
-        dropped_regressions: dropped,
-    };
-    // The published snapshot's holdout metrics describe the delta's changed
-    // signatures over their holdout slice (unchanged signatures are exactly
-    // the incumbent's, whose metrics its own snapshot already records).  With
-    // no holdout evidence for any survivor, the incumbent's record carries
-    // over unchanged.
-    let candidate = if candidate_pairs.is_empty() {
-        *incumbent.holdout()
-    } else {
-        use cleo_common::stats;
-        let preds: Vec<f64> = candidate_pairs.iter().map(|p| p.0).collect();
-        let actuals: Vec<f64> = candidate_pairs.iter().map(|p| p.1).collect();
-        HoldoutMetrics {
-            correlation: stats::pearson(&preds, &actuals),
-            median_error_pct: stats::median_error_pct(&preds, &actuals),
-            sample_count: preds.len(),
-        }
-    };
-    let changed_signatures = delta.changed_signatures();
-    let snapshot = registry.publish_delta(&delta, candidate)?;
-    Ok(DeltaOutcome {
-        decision: DeltaDecision::Published {
-            version: snapshot.version(),
-            base_version: delta.base_version,
-            changed_signatures,
-        },
-        unchanged_signatures: stats.reused,
-        dirty_signatures,
-        deferred_signatures: stats.deferred,
-        dropped_regressions: dropped,
-        candidate: Some(candidate),
-    })
 }
 
 /// [`HoldoutMetrics`] of one family store's model for one signature over that
 /// signature's holdout samples (the per-signature guard's instrument).
 fn signature_holdout_metrics(
-    store: &crate::models::ModelStore,
+    store: &ModelStore,
     signature: u64,
-    samples: &[&crate::models::OperatorSample],
+    samples: &[&OperatorSample],
 ) -> HoldoutMetrics {
     use cleo_common::stats;
     let mut preds = Vec::with_capacity(samples.len());

@@ -41,8 +41,8 @@ pub fn run_jobs(
     Ok(log)
 }
 
-/// Optimize and simulate a set of jobs through a [`SharedOptimizer`] — the serving
-/// path of the feedback loop.
+/// Optimize and simulate a set of jobs against a [`CostModelProvider`] through a
+/// [`SharedOptimizer`] — the serve step of every feedback loop.
 ///
 /// Jobs are optimized across `threads` OS threads (0 = all cores), each against the
 /// provider's model snapshot at the moment it starts; simulation then runs in job
@@ -51,12 +51,13 @@ pub fn run_jobs(
 /// registry version that optimized its plan.
 pub fn run_jobs_shared(
     jobs: &[&JobSpec],
-    optimizer: &SharedOptimizer,
+    provider: Arc<dyn CostModelProvider>,
+    optimizer_config: OptimizerConfig,
     simulator: &Simulator,
     epoch: u32,
     threads: usize,
 ) -> Result<TelemetryLog> {
-    let optimized = optimizer.optimize_all(jobs, threads)?;
+    let optimized = SharedOptimizer::new(provider, optimizer_config).optimize_all(jobs, threads)?;
     let mut log = TelemetryLog::new();
     for plan in optimized {
         let run = simulator.run(&plan.plan);
@@ -74,8 +75,7 @@ pub fn run_jobs_shared(
     Ok(log)
 }
 
-/// Optimize and simulate a set of jobs against a [`CostModelProvider`] — the
-/// shared-serving path, outside any feedback epoch (epoch 0).
+/// [`run_jobs_shared`] outside any feedback epoch (epoch 0).
 ///
 /// This is how the experiment runners exercise the registry and the prediction
 /// cache: a provider backed by a [`crate::registry::ModelRegistry`] (or the
@@ -88,8 +88,7 @@ pub fn serve_jobs(
     simulator: &Simulator,
     threads: usize,
 ) -> Result<TelemetryLog> {
-    let shared = SharedOptimizer::new(provider, optimizer_config);
-    run_jobs_shared(jobs, &shared, simulator, 0, threads)
+    run_jobs_shared(jobs, provider, optimizer_config, simulator, 0, threads)
 }
 
 /// Accuracy and coverage of one model (or model family) over an evaluation set,

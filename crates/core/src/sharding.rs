@@ -45,8 +45,7 @@ use cleo_optimizer::{
 };
 
 use crate::feedback::{
-    delta_round_window, retrain_window, DeltaOutcome, FeedbackConfig, PublishDecision,
-    RetrainOutcome,
+    DeltaOutcome, FeedbackConfig, FeedbackLoop, PublishDecision, RetrainOutcome,
 };
 use crate::registry::ModelRegistry;
 
@@ -137,7 +136,7 @@ impl ShardedRegistry {
     }
 
     /// Index of a cluster's shard (lock-free).
-    fn shard_index(&self, cluster: ClusterId) -> Option<usize> {
+    pub(crate) fn shard_index(&self, cluster: ClusterId) -> Option<usize> {
         self.lookup[cluster.0 as usize]
     }
 
@@ -1385,8 +1384,10 @@ pub enum WatchdogVerdict {
     },
 }
 
-/// One shard's failure in a fleet round: the round errored or panicked, the
-/// failure was isolated, and the shard's incumbent version kept serving.
+/// One shard's failure in a fleet round: the round errored or panicked and
+/// the failure was isolated.  The shard publishes nothing this round; it
+/// serves the version it held when the round failed, which is the version
+/// the watchdog rolled back to if the watchdog ran first.
 #[derive(Debug, Clone, PartialEq)]
 pub struct ShardFailure {
     /// The shard that failed.
@@ -1435,11 +1436,12 @@ pub struct ObserveReport {
     pub failed_shards: usize,
 }
 
-/// Per-shard state of the sharded loop.
+/// Per-shard state of the sharded loop: the shard's own [`FeedbackLoop`]
+/// (window, retrain, publish) plus the fleet-only baselines of drift
+/// eviction and the watchdog.
 struct ShardState {
     cluster: ClusterId,
-    registry: Arc<ModelRegistry>,
-    window: TelemetryLog,
+    feedback: FeedbackLoop,
     /// Window moments at the shard's last publish (the training-time snapshot
     /// drift is measured against).
     baseline: Option<WindowMoments>,
@@ -1489,7 +1491,7 @@ pub struct ShardedEpochReport {
     /// Per-shard outcomes, sorted by cluster id.
     pub shards: Vec<ShardEpochReport>,
     /// Shards whose round failed this epoch (isolated — the fleet round
-    /// completed and each failed shard's incumbent kept serving).
+    /// completed; see [`ShardFailure`] for what a failed shard serves).
     pub failed: Vec<ShardFailure>,
     /// Routing outcomes of *this epoch's* serving (like every other field
     /// here; the router's cumulative counters stay available via
@@ -1540,7 +1542,7 @@ pub struct ShardedDeltaReport {
     pub total_latency: f64,
     /// Per-shard outcomes, sorted by cluster id.
     pub shards: Vec<ShardDeltaReport>,
-    /// Shards whose round failed (isolated — incumbents kept serving).
+    /// Shards whose round failed (isolated — see [`ShardFailure`]).
     pub failed: Vec<ShardFailure>,
     /// Routing outcomes of this round's serving.
     pub routing: RoutingSnapshot,
@@ -1562,8 +1564,9 @@ impl ShardedDeltaReport {
 }
 
 /// The fleet-scale feedback loop: serve a multi-cluster stream through the
-/// [`ClusterRouter`], partition telemetry by cluster, retrain every shard in
-/// parallel under its own holdout guard, publish shard-atomically.
+/// [`ClusterRouter`], partition telemetry by cluster, and run one
+/// [`FeedbackLoop`] per shard in parallel — each retrains under its own
+/// holdout guard and publishes shard-atomically into its cluster's registry.
 pub struct ShardedFeedbackLoop {
     config: ShardedFeedbackConfig,
     router: Arc<ClusterRouter>,
@@ -1585,12 +1588,23 @@ impl ShardedFeedbackLoop {
             .registry()
             .shards()
             .iter()
-            .map(|s| ShardState {
-                cluster: s.cluster(),
-                registry: Arc::clone(s.registry()),
-                window: TelemetryLog::new(),
-                baseline: None,
-                live_baseline: None,
+            .map(|s| {
+                // Derive the trainer seed per shard so no two clusters shuffle
+                // their windows identically (the loop derives per epoch on top).
+                let mut shard_config = config.shard;
+                shard_config.trainer.seed ^=
+                    (s.cluster().0 as u64 + 1).wrapping_mul(0xA24B_AED4_963E_E407);
+                ShardState {
+                    cluster: s.cluster(),
+                    feedback: FeedbackLoop::with_registry(
+                        shard_config,
+                        simulator.clone(),
+                        Arc::clone(s.registry()),
+                        Arc::clone(router.fallback_model()),
+                    ),
+                    baseline: None,
+                    live_baseline: None,
+                }
             })
             .collect();
         ShardedFeedbackLoop {
@@ -1630,7 +1644,7 @@ impl ShardedFeedbackLoop {
         self.shards
             .iter()
             .find(|s| s.cluster == cluster)
-            .map(|s| &s.window)
+            .map(|s| s.feedback.window())
     }
 
     /// Feed externally-ingested telemetry (a parsed firehose dump — see
@@ -1639,39 +1653,20 @@ impl ShardedFeedbackLoop {
     ///
     /// This is the offline complement of [`ShardedFeedbackLoop::run_epoch`]'s
     /// serve-then-ingest path: records are partitioned by cluster (moved, not
-    /// cloned), extended onto their shard's window, and the window bound is
-    /// re-applied — in parallel across shards via the same
-    /// [`std::thread::scope`] pool the retrain rounds use.  Records whose
-    /// cluster has no shard are dropped and counted (the fallback model serves
-    /// those clusters; nothing learns from them).  No training or publishing
-    /// happens here; the next epoch or delta round trains on the fattened
-    /// windows.
+    /// cloned) and each shard's [`FeedbackLoop::observe`] ingests its slice —
+    /// in parallel across shards via the same [`std::thread::scope`] pool the
+    /// retrain rounds use.  Records whose cluster has no shard are dropped and
+    /// counted (the fallback model serves those clusters; nothing learns from
+    /// them).  No training or publishing happens here; the next epoch or
+    /// delta round trains on the fattened windows.
     pub fn observe(&mut self, log: TelemetryLog) -> Result<ObserveReport> {
-        let mut ingest: Vec<Option<TelemetryLog>> = (0..self.shards.len()).map(|_| None).collect();
-        let mut accepted_jobs = 0usize;
-        let mut unrouted_jobs = 0usize;
-        for (cluster, part) in log.into_cluster_partitions() {
-            match self.router.registry().shard_index(cluster) {
-                Some(i) => {
-                    accepted_jobs += part.len();
-                    ingest[i] = Some(part);
-                }
-                None => unrouted_jobs += part.len(),
-            }
-        }
-        let config = self.config;
+        let total_jobs = log.len();
+        let (ingest, unrouted_jobs) = self.partition(log);
         let (evictions, failed) = self.run_shard_rounds(ingest, |state, log| {
-            use crate::feedback::WindowEviction;
-            if let Some(log) = log {
-                state.window.extend(log);
-            }
-            Ok(match config.shard.eviction {
-                WindowEviction::JobCount(max_jobs) => state.window.drain_window(max_jobs).len(),
-                WindowEviction::RecentDays(days) => state.window.retain_recent_days(days).len(),
-            })
+            Ok(state.feedback.observe(log.unwrap_or_default()))
         });
         Ok(ObserveReport {
-            accepted_jobs,
+            accepted_jobs: total_jobs - unrouted_jobs,
             unrouted_jobs,
             evicted_jobs: evictions.iter().sum(),
             failed_shards: failed.len(),
@@ -1691,12 +1686,11 @@ impl ShardedFeedbackLoop {
         // a pure function of (window, epoch, its own incumbent), so the thread
         // assignment cannot change any outcome — only the wall clock.  Rounds
         // are failure-isolated: a panicking or erroring shard lands in
-        // `failed` and its incumbent keeps serving.
+        // `failed` while every other shard's round completes.
         let config = self.config;
-        let fallback = Arc::clone(self.router.fallback_model());
         let faults = self.faults.clone();
         let (shards, failed) = self.run_shard_rounds(served.ingest, |state, log| {
-            run_shard_epoch(state, log, &config, epoch, &fallback, faults.as_deref())
+            run_shard_epoch(state, log, &config, epoch, faults.as_deref())
         });
 
         Ok(ShardedEpochReport {
@@ -1713,10 +1707,10 @@ impl ShardedFeedbackLoop {
     /// Run one fleet-wide **sub-epoch delta round**: serve through the router,
     /// partition telemetry by cluster, and refit only each shard's dirty
     /// signatures in parallel, publishing per-shard copy-on-write deltas (see
-    /// [`crate::feedback::FeedbackLoop::run_delta_round`]).  Shards whose
-    /// registry is still cold skip (deltas apply over an incumbent); the epoch
-    /// counter does not advance, and the next full epoch's training is
-    /// bit-independent of any deltas published here.
+    /// [`FeedbackLoop::run_delta_round`]).  Shards whose registry is still
+    /// cold skip (deltas apply over an incumbent); the epoch counter does not
+    /// advance, and the next full epoch's training is bit-independent of any
+    /// deltas published here.
     pub fn run_delta_round(&mut self, jobs: &[&JobSpec]) -> Result<ShardedDeltaReport> {
         let epoch = self.epoch;
         let routing_before = self.router.routing_stats();
@@ -1738,37 +1732,41 @@ impl ShardedFeedbackLoop {
         })
     }
 
+    /// Split a log by cluster into per-shard slices aligned with the shard
+    /// list, and count the records whose cluster has no shard (dropped).
+    /// Consuming, so records move into the shard windows without cloning any
+    /// plan.
+    fn partition(&self, log: TelemetryLog) -> (Vec<Option<TelemetryLog>>, usize) {
+        let mut ingest: Vec<Option<TelemetryLog>> = (0..self.shards.len()).map(|_| None).collect();
+        let mut unrouted_jobs = 0usize;
+        for (cluster, part) in log.into_cluster_partitions() {
+            match self.router.registry().shard_index(cluster) {
+                Some(i) => ingest[i] = Some(part),
+                None => unrouted_jobs += part.len(),
+            }
+        }
+        (ingest, unrouted_jobs)
+    }
+
     /// Serve a job stream through the router and partition the telemetry by
     /// shard: the common prologue of full epochs and delta rounds.  All
     /// publishes of a round happen strictly after serving completes, so every
     /// job routes against the same shard states — which is what makes serving
     /// bit-deterministic across serving thread counts.  Jobs from unmapped
     /// clusters were served by the fallback but have no shard window to learn
-    /// in; partitioning is consuming, so records move into the shard windows
-    /// without cloning any plan.
+    /// in.
     fn serve_and_partition(&self, jobs: &[&JobSpec], epoch: u32) -> Result<ServedPartition> {
-        let shared = SharedOptimizer::new(
-            Arc::clone(&self.router) as Arc<dyn CostModelProvider>,
-            self.config.shard.optimizer,
-        );
         let served = crate::pipeline::run_jobs_shared(
             jobs,
-            &shared,
+            Arc::clone(&self.router) as Arc<dyn CostModelProvider>,
+            self.config.shard.optimizer,
             &self.simulator,
             epoch,
             self.config.shard.serving_threads,
         )?;
         let jobs_run = served.len();
         let total_latency = served.total_latency();
-
-        let mut unrouted_jobs = 0usize;
-        let mut ingest: Vec<Option<TelemetryLog>> = (0..self.shards.len()).map(|_| None).collect();
-        for (cluster, log) in served.into_cluster_partitions() {
-            match self.router.registry().shard_index(cluster) {
-                Some(i) => ingest[i] = Some(log),
-                None => unrouted_jobs += log.len(),
-            }
-        }
+        let (ingest, unrouted_jobs) = self.partition(served);
         Ok(ServedPartition {
             jobs_run,
             total_latency,
@@ -1785,10 +1783,13 @@ impl ShardedFeedbackLoop {
     /// Rounds are **failure-isolated**: each shard's round runs under
     /// `catch_unwind`, so an erroring or panicking shard becomes a
     /// [`ShardFailure`] while every other shard's report is returned normally
-    /// — one bad shard can no longer abort a fleet round.  A failed shard's
-    /// window may have partially ingested this round's telemetry; its
-    /// registry is untouched (publishes are the last step of a round), so its
-    /// incumbent version keeps serving.
+    /// — one bad shard can no longer abort a fleet round.  A failed round
+    /// publishes nothing after the failure, but what it did before stays done
+    /// and unreported: epoch and delta rounds run the publish watchdog first,
+    /// so a failed shard may have rolled back its served version (that
+    /// [`WatchdogVerdict`] is lost with the report), and its window may have
+    /// ingested this round's telemetry.  The shard keeps serving whatever
+    /// version it held when the round failed.
     fn run_shard_rounds<R: Send>(
         &mut self,
         ingest: Vec<Option<TelemetryLog>>,
@@ -1879,9 +1880,50 @@ fn run_round_isolated<R>(
     }
 }
 
-/// One shard's slice of a sub-epoch delta round: ingest, evict (standard
-/// policy only — drift baselines belong to full publishes), dirty-only guarded
-/// retrain, per-shard copy-on-write delta publish.
+/// What the common start of a shard round did.
+struct RoundStart {
+    watchdog: WatchdogVerdict,
+    ingested_jobs: usize,
+    evicted_jobs: usize,
+}
+
+/// The start of every shard round, epoch or delta: align the shard's loop
+/// with the fleet epoch, run the publish watchdog over the fresh telemetry,
+/// fire any fault injected at `site` for this round, then ingest through the
+/// shard's [`FeedbackLoop::observe`] (standard eviction).
+fn begin_shard_round(
+    state: &mut ShardState,
+    ingest: Option<TelemetryLog>,
+    config: &ShardedFeedbackConfig,
+    epoch: u32,
+    faults: Option<&FaultPlan>,
+    site: FaultSite,
+) -> Result<RoundStart> {
+    state.feedback.set_epoch(epoch);
+    let watchdog = run_publish_watchdog(state, ingest.as_ref(), &config.watchdog, faults);
+    if let Some(faults) = faults {
+        let cluster = state.cluster.0;
+        if faults.fires(site, ((epoch as u64) << 8) | cluster as u64) {
+            if site == FaultSite::ShardRoundPanic {
+                panic!("injected fault: shard round panic (epoch {epoch}, cluster {cluster})");
+            }
+            return Err(CleoError::Config(format!(
+                "injected fault: corrupted delta (epoch {epoch}, cluster {cluster})"
+            )));
+        }
+    }
+    let ingested_jobs = ingest.as_ref().map_or(0, TelemetryLog::len);
+    let evicted_jobs = state.feedback.observe(ingest.unwrap_or_default());
+    Ok(RoundStart {
+        watchdog,
+        ingested_jobs,
+        evicted_jobs,
+    })
+}
+
+/// One shard's slice of a sub-epoch delta round: the round start (standard
+/// eviction only — drift baselines belong to full publishes), then the
+/// shard loop's dirty-only guarded retrain and copy-on-write delta publish.
 fn run_shard_delta(
     state: &mut ShardState,
     ingest: Option<TelemetryLog>,
@@ -1889,121 +1931,83 @@ fn run_shard_delta(
     epoch: u32,
     faults: Option<&FaultPlan>,
 ) -> Result<ShardDeltaReport> {
-    use crate::feedback::WindowEviction;
-
-    let watchdog = run_publish_watchdog(state, ingest.as_ref(), &config.watchdog, faults);
-    if let Some(faults) = faults {
-        let index = ((epoch as u64) << 8) | state.cluster.0 as u64;
-        if faults.fires(FaultSite::CorruptDelta, index) {
-            return Err(CleoError::Config(format!(
-                "injected fault: corrupted delta (epoch {epoch}, cluster {})",
-                state.cluster.0
-            )));
-        }
-    }
-
-    let ingested_jobs = ingest.as_ref().map_or(0, TelemetryLog::len);
-    if let Some(log) = ingest {
-        state.window.extend(log);
-    }
-    let evicted_jobs = match config.shard.eviction {
-        WindowEviction::JobCount(max_jobs) => state.window.drain_window(max_jobs).len(),
-        WindowEviction::RecentDays(days) => state.window.retain_recent_days(days).len(),
-    };
-
+    let start = begin_shard_round(
+        state,
+        ingest,
+        config,
+        epoch,
+        faults,
+        FaultSite::CorruptDelta,
+    )?;
     let started = Instant::now();
-    let outcome = delta_round_window(&state.window, &config.shard, epoch, &state.registry)?;
+    let outcome = state.feedback.publish_dirty()?;
     let round_micros = started.elapsed().as_micros();
 
     Ok(ShardDeltaReport {
         cluster: state.cluster,
-        ingested_jobs,
-        window_jobs: state.window.len(),
-        evicted_jobs,
+        ingested_jobs: start.ingested_jobs,
+        window_jobs: state.feedback.window().len(),
+        evicted_jobs: start.evicted_jobs,
         outcome,
-        served_version: state.registry.current_version(),
-        watchdog,
+        served_version: state.feedback.registry().current_version(),
+        watchdog: start.watchdog,
         round_micros,
     })
 }
 
-/// One shard's slice of an epoch: ingest, evict (standard then drift-aware),
-/// guarded retrain, shard-atomic publish.
+/// One shard's slice of an epoch: the round start, drift-aware eviction, then
+/// the shard loop's guarded retrain and shard-atomic publish.
 fn run_shard_epoch(
     state: &mut ShardState,
     ingest: Option<TelemetryLog>,
     config: &ShardedFeedbackConfig,
     epoch: u32,
-    fallback: &Arc<dyn CostModel>,
     faults: Option<&FaultPlan>,
 ) -> Result<ShardEpochReport> {
-    use crate::feedback::WindowEviction;
-
-    let watchdog = run_publish_watchdog(state, ingest.as_ref(), &config.watchdog, faults);
-    if let Some(faults) = faults {
-        let index = ((epoch as u64) << 8) | state.cluster.0 as u64;
-        if faults.fires(FaultSite::ShardRoundPanic, index) {
-            panic!(
-                "injected fault: shard round panic (epoch {epoch}, cluster {})",
-                state.cluster.0
-            );
-        }
-    }
-
-    let ingested_jobs = ingest.as_ref().map_or(0, TelemetryLog::len);
-    if let Some(log) = ingest {
-        state.window.extend(log);
-    }
-    let evicted_jobs = match config.shard.eviction {
-        WindowEviction::JobCount(max_jobs) => state.window.drain_window(max_jobs).len(),
-        WindowEviction::RecentDays(days) => state.window.retain_recent_days(days).len(),
-    };
+    let start = begin_shard_round(
+        state,
+        ingest,
+        config,
+        epoch,
+        faults,
+        FaultSite::ShardRoundPanic,
+    )?;
 
     let mut drift_score = None;
     let mut drift_evicted = 0;
     if config.drift.enabled {
         if let Some(baseline) = &state.baseline {
-            let score = state.window.feature_moments().drift_from(baseline);
+            let window = state.feedback.window();
+            let score = window.feature_moments().drift_from(baseline);
             drift_score = Some(score);
             if score > config.drift.threshold {
                 // The pre-shift tail no longer describes what the shard serves:
                 // keep the newest half (but never starve the trainer) and take
                 // a fresh snapshot at the next publish.
-                let keep = (state.window.len() / 2).max(config.shard.min_training_jobs);
-                drift_evicted = state.window.drain_window(keep).len();
+                let keep = (window.len() / 2).max(config.shard.min_training_jobs);
+                drift_evicted = state.feedback.keep_newest(keep);
                 state.baseline = None;
             }
         }
     }
 
-    // Re-derive the trainer seed per shard so no two clusters shuffle their
-    // windows identically (retrain_window re-derives per epoch on top).
-    let mut shard_config = config.shard;
-    shard_config.trainer.seed ^= (state.cluster.0 as u64 + 1).wrapping_mul(0xA24B_AED4_963E_E407);
-
     let started = Instant::now();
-    let retrain = retrain_window(
-        &state.window,
-        &shard_config,
-        epoch,
-        &state.registry,
-        fallback,
-    )?;
+    let retrain = state.feedback.retrain()?;
     let retrain_micros = started.elapsed().as_micros();
     if matches!(retrain.decision, PublishDecision::Published { .. }) {
-        state.baseline = Some(state.window.feature_moments());
+        state.baseline = Some(state.feedback.window().feature_moments());
     }
 
     Ok(ShardEpochReport {
         cluster: state.cluster,
-        ingested_jobs,
-        window_jobs: state.window.len(),
-        evicted_jobs,
+        ingested_jobs: start.ingested_jobs,
+        window_jobs: state.feedback.window().len(),
+        evicted_jobs: start.evicted_jobs,
         drift_score,
         drift_evicted,
         retrain,
-        served_version: state.registry.current_version(),
-        watchdog,
+        served_version: state.feedback.registry().current_version(),
+        watchdog: start.watchdog,
         retrain_micros,
     })
 }
@@ -2025,11 +2029,11 @@ fn run_publish_watchdog(
     let Some(log) = ingest else {
         return WatchdogVerdict::NotChecked;
     };
-    let served_version = state.registry.current_version();
+    let served_version = state.feedback.registry().current_version();
     if served_version == 0 {
         return WatchdogVerdict::NotChecked;
     }
-    let Some(snapshot) = state.registry.current() else {
+    let Some(snapshot) = state.feedback.registry().current() else {
         return WatchdogVerdict::NotChecked;
     };
     // Only records this version served for this cluster measure its live
@@ -2062,7 +2066,7 @@ fn run_publish_watchdog(
             if baseline_version != served_version
                 && live_error_pct > baseline_error_pct + policy.max_error_regression_pct =>
         {
-            if let Some((obs, cluster)) = state.registry.obs_binding() {
+            if let Some((obs, cluster)) = state.feedback.registry().obs_binding() {
                 obs.emit(TraceEvent::Watchdog {
                     seq: obs_seq,
                     cluster,
@@ -2070,7 +2074,7 @@ fn run_publish_watchdog(
                     version: served_version,
                 });
             }
-            let now_serving = state.registry.rollback();
+            let now_serving = state.feedback.registry().rollback();
             WatchdogVerdict::RolledBack {
                 from_version: served_version,
                 to_version: now_serving.map(|s| s.version()).unwrap_or(0),
@@ -2080,7 +2084,7 @@ fn run_publish_watchdog(
         }
         _ => {
             state.live_baseline = Some((served_version, live_error_pct));
-            if let Some((obs, cluster)) = state.registry.obs_binding() {
+            if let Some((obs, cluster)) = state.feedback.registry().obs_binding() {
                 obs.emit(TraceEvent::Watchdog {
                     seq: obs_seq,
                     cluster,

@@ -19,7 +19,8 @@
 //! * fleet epochs and delta rounds isolate panicking/corrupt shards while
 //!   every incumbent keeps serving;
 //! * the publish watchdog rolls back a live-error regression in both full
-//!   epochs and delta rounds;
+//!   epochs and delta rounds, and a round that fails after its watchdog
+//!   rolled back keeps the rollback;
 //! * a quiet plan (all rates zero) is bit-identical to no plan at all.
 
 use std::sync::Arc;
@@ -927,6 +928,44 @@ fn watchdog_rolls_back_during_a_delta_publish() {
     if let Some(base) = current.lineage().delta_base() {
         assert_eq!(base, 1, "a post-rollback delta applies over v1");
     }
+}
+
+#[test]
+fn a_failed_epoch_round_keeps_its_watchdog_rollback() {
+    let workload = generate_cluster_workload(&ClusterConfig::small(ClusterId(0)), 1);
+    let stream: Vec<&JobSpec> = workload.jobs.iter().collect();
+    let mut fleet = fleet_over(
+        std::slice::from_ref(&workload),
+        watchdog_fleet_config(WatchdogPolicy {
+            enabled: true,
+            max_error_regression_pct: 10.0,
+            min_samples: 8,
+        }),
+    );
+    fleet.run_epoch(&stream).unwrap();
+    fleet.run_epoch(&stream).unwrap();
+    assert_eq!(fleet.registry().shard_version(ClusterId(0)), 2);
+
+    // Epoch 3: v2's live error regresses (index 2 << 8 | cluster 0) and the
+    // round then panics (index 3 << 8 | cluster 0).  The watchdog runs first,
+    // so the shard is rolled back to v1 although its round fails and no
+    // report carries the verdict.
+    fleet.set_fault_plan(
+        FaultPlan {
+            regressing_publish_rate: 1.0,
+            regression_multiplier: 1e6,
+            shard_round_panic_rate: 1.0,
+            after: 2 << 8,
+            horizon: (3 << 8) + 1,
+            ..FaultPlan::quiet(3)
+        }
+        .handle(),
+    );
+    let epoch3 = fleet.run_epoch(&stream).unwrap();
+    assert_eq!(epoch3.failed.len(), 1, "{:?}", epoch3.failed);
+    assert_eq!(epoch3.failed[0].cluster, ClusterId(0));
+    assert!(epoch3.shards.is_empty());
+    assert_eq!(fleet.registry().shard_version(ClusterId(0)), 1);
 }
 
 // ---------------------------------------------------------------------------
