@@ -23,12 +23,12 @@ use std::sync::Arc;
 use std::time::Instant;
 
 use cleo_bench::context::BenchMeta;
-use cleo_core::feedback::{FeedbackConfig, WindowEviction};
+use cleo_core::feedback::{
+    FeedbackConfig, ShardedFeedbackConfig, ShardedFeedbackLoop, WindowEviction,
+};
 use cleo_core::registry::ModelRegistry;
 use cleo_core::scenario::{compile_str, suites};
-use cleo_core::sharding::{
-    ClusterRouter, ShardedFeedbackConfig, ShardedFeedbackLoop, ShardedRegistry,
-};
+use cleo_core::sharding::{ClusterRouter, ShardedRegistry};
 use cleo_core::trainer::TrainerConfig;
 use cleo_engine::exec::{Simulator, SimulatorConfig};
 use cleo_optimizer::HeuristicCostModel;

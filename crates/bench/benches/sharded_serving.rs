@@ -32,10 +32,10 @@ use std::time::{Duration, Instant};
 
 use cleo_bench::{BenchGroup, BenchMeta};
 use cleo_common::obs::Obs;
-use cleo_core::feedback::{FeedbackConfig, WindowEviction};
-use cleo_core::sharding::{
-    ClusterRouter, ServingPool, ShardedFeedbackConfig, ShardedFeedbackLoop, ShardedRegistry,
+use cleo_core::feedback::{
+    FeedbackConfig, ShardedFeedbackConfig, ShardedFeedbackLoop, WindowEviction,
 };
+use cleo_core::sharding::{ClusterRouter, ServingPool, ShardedRegistry};
 use cleo_core::{HoldoutMetrics, LearnedCostModel, ModelRegistry, RegistryCostModelProvider};
 use cleo_engine::exec::{Simulator, SimulatorConfig};
 use cleo_engine::physical::{PhysicalNode, PhysicalOpKind};

@@ -15,11 +15,11 @@ use cleo_common::fault::FaultPlan;
 use cleo_common::table::TextTable;
 use cleo_common::Result;
 
-use cleo_core::feedback::{FeedbackConfig, PublishDecision, WindowEviction};
-use cleo_core::ingest::{parse_telemetry_quarantine, QuarantinePolicy, WireFormat};
-use cleo_core::sharding::{
-    ClusterRouter, ShardedFeedbackConfig, ShardedFeedbackLoop, ShardedRegistry,
+use cleo_core::feedback::{
+    FeedbackConfig, PublishDecision, ShardedFeedbackConfig, ShardedFeedbackLoop, WindowEviction,
 };
+use cleo_core::ingest::{parse_telemetry_quarantine, QuarantinePolicy, WireFormat};
+use cleo_core::sharding::{ClusterRouter, ShardedRegistry};
 use cleo_engine::exec::{Simulator, SimulatorConfig};
 use cleo_engine::telemetry::TelemetryLog;
 use cleo_engine::telemetry_io::write_ndjson;

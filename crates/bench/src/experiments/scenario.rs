@@ -12,11 +12,11 @@ use std::sync::Arc;
 
 use cleo_common::table::TextTable;
 use cleo_common::Result;
-use cleo_core::feedback::{FeedbackConfig, PublishDecision, WindowEviction};
-use cleo_core::scenario::{compile_str, suites};
-use cleo_core::sharding::{
-    ClusterRouter, ShardedFeedbackConfig, ShardedFeedbackLoop, ShardedRegistry,
+use cleo_core::feedback::{
+    FeedbackConfig, PublishDecision, ShardedFeedbackConfig, ShardedFeedbackLoop, WindowEviction,
 };
+use cleo_core::scenario::{compile_str, suites};
+use cleo_core::sharding::{ClusterRouter, ShardedRegistry};
 use cleo_core::trainer::TrainerConfig;
 use cleo_engine::exec::{Simulator, SimulatorConfig};
 use cleo_optimizer::HeuristicCostModel;

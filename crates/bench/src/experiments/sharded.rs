@@ -8,10 +8,11 @@ use std::sync::Arc;
 use cleo_common::table::{fnum, TextTable};
 use cleo_common::Result;
 
-use cleo_core::feedback::{FeedbackConfig, PublishDecision, WindowEviction};
-use cleo_core::sharding::{
-    ClusterRouter, DriftPolicy, ShardedFeedbackConfig, ShardedFeedbackLoop, ShardedRegistry,
+use cleo_core::feedback::{
+    DriftPolicy, FeedbackConfig, PublishDecision, ShardedFeedbackConfig, ShardedFeedbackLoop,
+    WindowEviction,
 };
+use cleo_core::sharding::{ClusterRouter, ShardedRegistry};
 use cleo_engine::exec::{Simulator, SimulatorConfig};
 use cleo_engine::workload::generator::{interleave_jobs, WorkloadProfile};
 use cleo_optimizer::HeuristicCostModel;

@@ -11,7 +11,7 @@
 //! Parsing is serial: it is off the serving path and about 0.5% of a feedback
 //! epoch, too little for threads to pay off (ROADMAP item 12(1)).  To feed a
 //! sharded fleet, parse and then call
-//! [`ShardedFeedbackLoop::observe`](crate::sharding::ShardedFeedbackLoop::observe).
+//! [`ShardedFeedbackLoop::observe`](crate::feedback::ShardedFeedbackLoop::observe).
 
 use cleo_common::fault::{FaultPlan, FaultSite};
 use cleo_common::obs::{Obs, TraceEvent};
@@ -277,10 +277,10 @@ mod tests {
 
     use cleo_optimizer::HeuristicCostModel;
 
-    use crate::feedback::{FeedbackConfig, WindowEviction};
-    use crate::sharding::{
-        ClusterRouter, ShardedFeedbackConfig, ShardedFeedbackLoop, ShardedRegistry,
+    use crate::feedback::{
+        FeedbackConfig, ShardedFeedbackConfig, ShardedFeedbackLoop, WindowEviction,
     };
+    use crate::sharding::{ClusterRouter, ShardedRegistry};
 
     fn sample_job(job: u64, day: u32, cluster: u8) -> JobTelemetry {
         let mut extract = PhysicalNode::new(PhysicalOpKind::Extract, "events_{date}", vec![]);

@@ -31,7 +31,7 @@
 //!   pool batches behind a backlog,
 //! * [`ingest`] — telemetry ingestion: one serial parse per wire format, strict
 //!   or with per-record quarantine, whose log feeds
-//!   [`sharding::ShardedFeedbackLoop::observe`],
+//!   [`feedback::ShardedFeedbackLoop::observe`],
 //! * [`scenario`] — the workload-scenario DSL: declarative suites (drift
 //!   ramps, flash crowds, tenant arrival/churn, adversarial signature floods,
 //!   cold-start storms) compiled into deterministic, seeded multi-cluster job
@@ -93,8 +93,10 @@ pub use features::{
     normalized_weights,
 };
 pub use feedback::{
-    DeltaDecision, DeltaOutcome, DeltaRoundReport, EpochReport, FeedbackConfig, FeedbackLoop,
-    PublishDecision, RetrainOutcome, WindowEviction,
+    DeltaDecision, DeltaOutcome, DeltaRoundReport, DriftPolicy, EpochReport, FeedbackConfig,
+    FeedbackLoop, ObserveReport, PublishDecision, RetrainOutcome, ShardDeltaReport,
+    ShardEpochReport, ShardFailure, ShardedDeltaReport, ShardedEpochReport, ShardedFeedbackConfig,
+    ShardedFeedbackLoop, WatchdogPolicy, WatchdogVerdict, WindowEviction,
 };
 pub use ingest::{
     parse_telemetry, parse_telemetry_quarantine, QuarantineLog, QuarantinePolicy,
@@ -119,10 +121,8 @@ pub use serving::{
     FrontDoorConfig, FrontDoorStats, OverloadPolicy,
 };
 pub use sharding::{
-    BatchResult, BreakerPolicy, BreakerState, BreakerTransition, ClusterRouter, DriftPolicy,
-    ObserveReport, RegistryShard, RoutingSnapshot, ServingPool, ShardDeltaReport, ShardEpochReport,
-    ShardFailure, ShardedDeltaReport, ShardedEpochReport, ShardedFeedbackConfig,
-    ShardedFeedbackLoop, ShardedRegistry, Ticket, WatchdogPolicy, WatchdogVerdict,
+    BatchResult, BreakerPolicy, BreakerState, BreakerTransition, ClusterRouter, RegistryShard,
+    RoutingSnapshot, ServingPool, ShardedRegistry, Ticket,
 };
 pub use signature::{signature_set, ModelFamily, SignatureSet};
 pub use trainer::{CleoTrainer, TrainerConfig};

@@ -15,7 +15,7 @@
 //!   fallback chain**: donor shards ordered by workload similarity
 //!   ([`WorkloadProfile::distance`]), then the hand-written version-0 model.
 //!   Routing outcomes are counted in [`RoutingSnapshot`].
-//! * [`ShardedFeedbackLoop`] — the continuous loop at fleet scale: serve a
+//! * [`crate::feedback::ShardedFeedbackLoop`] — the continuous loop at fleet scale: serve a
 //!   multi-cluster stream through the router, partition the telemetry by
 //!   cluster, and run one guarded retrain epoch **per shard in parallel**
 //!   (each reusing the PR 2 holdout guard and the dirty-signature warm start),
@@ -34,19 +34,13 @@ use cleo_common::concurrency::StripedCounter;
 use cleo_common::fault::{FaultPlan, FaultSite};
 use cleo_common::obs::{self, Obs, TraceEvent};
 use cleo_common::{CleoError, Result};
-use cleo_engine::exec::Simulator;
 use cleo_engine::physical::JobMeta;
-use cleo_engine::telemetry::{JobTelemetry, TelemetryLog, WindowMoments};
 use cleo_engine::types::ClusterId;
 use cleo_engine::workload::generator::WorkloadProfile;
-use cleo_engine::workload::JobSpec;
 use cleo_optimizer::{
     CostModel, CostModelProvider, OptimizedPlan, ServedModel, SharedOptimizer, SnapshotCache,
 };
 
-use crate::feedback::{
-    DeltaOutcome, FeedbackConfig, FeedbackLoop, PublishDecision, RetrainOutcome,
-};
 use crate::registry::ModelRegistry;
 
 /// Lock a mutex, recovering the data if a panicking holder poisoned it.
@@ -58,17 +52,6 @@ use crate::registry::ModelRegistry;
 /// standard `expect` would cascade.
 fn lock_unpoisoned<T>(m: &Mutex<T>) -> MutexGuard<'_, T> {
     m.lock().unwrap_or_else(|poisoned| poisoned.into_inner())
-}
-
-/// Best-effort text of a caught panic payload.
-fn panic_message(payload: &(dyn std::any::Any + Send)) -> &str {
-    if let Some(s) = payload.downcast_ref::<&str>() {
-        s
-    } else if let Some(s) = payload.downcast_ref::<String>() {
-        s.as_str()
-    } else {
-        "non-string panic payload"
-    }
 }
 
 /// One cluster's registry shard.
@@ -1303,810 +1286,17 @@ fn worker_loop(inner: &PoolShared, worker: usize) {
     }
 }
 
-/// Drift-aware window eviction policy of the sharded loop (off by default).
-///
-/// When enabled, each shard compares its window's [`WindowMoments`] against the
-/// snapshot taken when the shard last published; a score above `threshold`
-/// (≈ one training-time standard deviation) drops the oldest half of the
-/// window, so the next retrain fits the post-shift distribution instead of
-/// averaging across the shift.
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct DriftPolicy {
-    /// Whether drift-aware eviction runs at all.
-    pub enabled: bool,
-    /// Drift score above which the stale window tail is evicted.
-    pub threshold: f64,
-}
-
-impl Default for DriftPolicy {
-    fn default() -> Self {
-        DriftPolicy {
-            enabled: false,
-            threshold: 1.0,
-        }
-    }
-}
-
-/// Post-publish live-error watchdog of the sharded loop (off by default).
-///
-/// When enabled, each shard round starts by measuring the *served* model's
-/// live error on the freshly-arrived telemetry that carries its provenance
-/// (same cluster, same version).  A version whose live error regresses more
-/// than `max_error_regression_pct` past the previous version's measured live
-/// error is rolled back before the round continues — the holdout guard
-/// catches bad models at training time, the watchdog catches the ones that
-/// only misbehave on live traffic.
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct WatchdogPolicy {
-    /// Whether the watchdog runs at all.
-    pub enabled: bool,
-    /// Live median-error regression (percentage points past the previous
-    /// version's measured live error) that triggers a rollback.
-    pub max_error_regression_pct: f64,
-    /// Fresh records with matching provenance needed before the live error is
-    /// considered measured (too few samples → [`WatchdogVerdict::NotChecked`]).
-    pub min_samples: usize,
-}
-
-impl Default for WatchdogPolicy {
-    fn default() -> Self {
-        WatchdogPolicy {
-            enabled: false,
-            max_error_regression_pct: 15.0,
-            min_samples: 8,
-        }
-    }
-}
-
-/// What the publish watchdog decided for one shard round.
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub enum WatchdogVerdict {
-    /// Disabled, shard cold, or too few fresh records with matching
-    /// provenance to measure the served version's live error.
-    NotChecked,
-    /// Live error measured; within the regression guard.
-    Healthy {
-        /// The served version measured.
-        version: u64,
-        /// Its live median error (pct) on fresh matching telemetry.
-        live_error_pct: f64,
-    },
-    /// Live error regressed past the guard; the version was rolled back.
-    RolledBack {
-        /// The regressing version that was rolled back.
-        from_version: u64,
-        /// The version now serving (0 = fallback model).
-        to_version: u64,
-        /// The regressing version's live median error (pct).
-        live_error_pct: f64,
-        /// The previous version's measured live error it regressed from.
-        baseline_error_pct: f64,
-    },
-}
-
-/// One shard's failure in a fleet round: the round errored or panicked and
-/// the failure was isolated.  The shard publishes nothing this round; it
-/// serves the version it held when the round failed, which is the version
-/// the watchdog rolled back to if the watchdog ran first.
-#[derive(Debug, Clone, PartialEq)]
-pub struct ShardFailure {
-    /// The shard that failed.
-    pub cluster: ClusterId,
-    /// What happened (panics surface as [`CleoError::Unavailable`]).
-    pub error: CleoError,
-}
-
-/// Configuration of the sharded feedback loop.
-#[derive(Debug, Clone, Copy, PartialEq, Default)]
-pub struct ShardedFeedbackConfig {
-    /// Per-shard feedback configuration (eviction, trainer, guard, optimizer,
-    /// serving threads, warm start).  The trainer seed is re-derived per shard
-    /// *and* per epoch, so clusters never train on identical shuffles.
-    pub shard: FeedbackConfig,
-    /// Drift-aware per-cluster window eviction (default off).
-    pub drift: DriftPolicy,
-    /// Post-publish live-error rollback watchdog (default off).
-    pub watchdog: WatchdogPolicy,
-    /// OS threads running the per-cluster retrain epochs (0 = all cores).
-    /// Retraining is deterministic regardless: each shard's round is a pure
-    /// function of its window, the epoch, and its own incumbent.
-    pub shard_threads: usize,
-}
-
-/// One round's served stream, partitioned by shard (the output of
-/// [`ShardedFeedbackLoop::serve_and_partition`]).
-struct ServedPartition {
-    jobs_run: usize,
-    total_latency: f64,
-    unrouted_jobs: usize,
-    /// Per-shard telemetry slices, aligned with the loop's shard list.
-    ingest: Vec<Option<TelemetryLog>>,
-}
-
-/// What [`ShardedFeedbackLoop::observe`] did with an externally-ingested log.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct ObserveReport {
-    /// Records accepted into some shard's window.
-    pub accepted_jobs: usize,
-    /// Records whose cluster has no registry shard (dropped).
-    pub unrouted_jobs: usize,
-    /// Records evicted by the standard window policy during this observe.
-    pub evicted_jobs: usize,
-    /// Shards whose ingest round failed (isolated; other shards ingested).
-    pub failed_shards: usize,
-}
-
-/// Per-shard state of the sharded loop: the shard's own [`FeedbackLoop`]
-/// (window, retrain, publish) plus the fleet-only baselines of drift
-/// eviction and the watchdog.
-struct ShardState {
-    cluster: ClusterId,
-    feedback: FeedbackLoop,
-    /// Window moments at the shard's last publish (the training-time snapshot
-    /// drift is measured against).
-    baseline: Option<WindowMoments>,
-    /// `(version, live_error_pct)` the watchdog last measured — the baseline a
-    /// newly published version's live error is compared against.
-    live_baseline: Option<(u64, f64)>,
-}
-
-/// What one epoch did on one shard.
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct ShardEpochReport {
-    /// The shard's cluster.
-    pub cluster: ClusterId,
-    /// Telemetry records ingested into this shard's window this epoch.
-    pub ingested_jobs: usize,
-    /// Window size after ingestion and eviction.
-    pub window_jobs: usize,
-    /// Jobs evicted by the standard window policy this epoch.
-    pub evicted_jobs: usize,
-    /// Drift score vs the shard's training-time snapshot (`None` when drift
-    /// eviction is disabled or no snapshot exists yet).
-    pub drift_score: Option<f64>,
-    /// Jobs evicted because the drift score crossed the threshold.
-    pub drift_evicted: usize,
-    /// The shard's guarded retrain outcome.
-    pub retrain: RetrainOutcome,
-    /// Version the shard serves after this epoch's publish decision.
-    pub served_version: u64,
-    /// What the publish watchdog decided at the start of this round about the
-    /// version published previously.
-    pub watchdog: WatchdogVerdict,
-    /// Wall-clock microseconds of this shard's retrain round.
-    pub retrain_micros: u128,
-}
-
-/// Report of one fleet-wide epoch.
-#[derive(Debug, Clone, PartialEq)]
-pub struct ShardedEpochReport {
-    /// Epoch number (1-based, global across shards).
-    pub epoch: u32,
-    /// Jobs served through the router this epoch.
-    pub jobs_run: usize,
-    /// Jobs whose cluster has no shard (served by the fallback, not windowed).
-    pub unrouted_jobs: usize,
-    /// Cumulative end-to-end latency of the epoch's jobs (seconds).
-    pub total_latency: f64,
-    /// Per-shard outcomes, sorted by cluster id.
-    pub shards: Vec<ShardEpochReport>,
-    /// Shards whose round failed this epoch (isolated — the fleet round
-    /// completed; see [`ShardFailure`] for what a failed shard serves).
-    pub failed: Vec<ShardFailure>,
-    /// Routing outcomes of *this epoch's* serving (like every other field
-    /// here; the router's cumulative counters stay available via
-    /// [`ClusterRouter::routing_stats`]).
-    pub routing: RoutingSnapshot,
-}
-
-impl ShardedEpochReport {
-    /// Shards that published a new version this epoch.
-    pub fn published_count(&self) -> usize {
-        self.shards
-            .iter()
-            .filter(|s| matches!(s.retrain.decision, PublishDecision::Published { .. }))
-            .count()
-    }
-}
-
-/// What one sub-epoch delta round did on one shard.
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct ShardDeltaReport {
-    /// The shard's cluster.
-    pub cluster: ClusterId,
-    /// Telemetry records ingested into this shard's window this round.
-    pub ingested_jobs: usize,
-    /// Window size after ingestion and eviction.
-    pub window_jobs: usize,
-    /// Jobs evicted by the standard window policy this round.
-    pub evicted_jobs: usize,
-    /// The shard's delta-round outcome.
-    pub outcome: DeltaOutcome,
-    /// Version the shard serves after this round's publish decision.
-    pub served_version: u64,
-    /// What the publish watchdog decided at the start of this round about the
-    /// version published previously.
-    pub watchdog: WatchdogVerdict,
-    /// Wall-clock microseconds of this shard's dirty retrain + publish.
-    pub round_micros: u128,
-}
-
-/// Report of one fleet-wide sub-epoch delta round.
-#[derive(Debug, Clone, PartialEq)]
-pub struct ShardedDeltaReport {
-    /// Jobs served through the router this round.
-    pub jobs_run: usize,
-    /// Jobs whose cluster has no shard (served by the fallback, not windowed).
-    pub unrouted_jobs: usize,
-    /// Cumulative end-to-end latency of the round's jobs (seconds).
-    pub total_latency: f64,
-    /// Per-shard outcomes, sorted by cluster id.
-    pub shards: Vec<ShardDeltaReport>,
-    /// Shards whose round failed (isolated — see [`ShardFailure`]).
-    pub failed: Vec<ShardFailure>,
-    /// Routing outcomes of this round's serving.
-    pub routing: RoutingSnapshot,
-}
-
-impl ShardedDeltaReport {
-    /// Shards that delta-published a new version this round.
-    pub fn published_count(&self) -> usize {
-        self.shards
-            .iter()
-            .filter(|s| {
-                matches!(
-                    s.outcome.decision,
-                    crate::feedback::DeltaDecision::Published { .. }
-                )
-            })
-            .count()
-    }
-}
-
-/// The fleet-scale feedback loop: serve a multi-cluster stream through the
-/// [`ClusterRouter`], partition telemetry by cluster, and run one
-/// [`FeedbackLoop`] per shard in parallel — each retrains under its own
-/// holdout guard and publishes shard-atomically into its cluster's registry.
-pub struct ShardedFeedbackLoop {
-    config: ShardedFeedbackConfig,
-    router: Arc<ClusterRouter>,
-    simulator: Simulator,
-    shards: Vec<ShardState>,
-    epoch: u32,
-    /// Fault-injection schedule for shard rounds (`None` in production).
-    faults: Option<Arc<FaultPlan>>,
-}
-
-impl ShardedFeedbackLoop {
-    /// Create a loop over a router's shards.
-    pub fn new(
-        config: ShardedFeedbackConfig,
-        simulator: Simulator,
-        router: Arc<ClusterRouter>,
-    ) -> Self {
-        let shards = router
-            .registry()
-            .shards()
-            .iter()
-            .map(|s| {
-                // Derive the trainer seed per shard so no two clusters shuffle
-                // their windows identically (the loop derives per epoch on top).
-                let mut shard_config = config.shard;
-                shard_config.trainer.seed ^=
-                    (s.cluster().0 as u64 + 1).wrapping_mul(0xA24B_AED4_963E_E407);
-                ShardState {
-                    cluster: s.cluster(),
-                    feedback: FeedbackLoop::with_registry(
-                        shard_config,
-                        simulator.clone(),
-                        Arc::clone(s.registry()),
-                        Arc::clone(router.fallback_model()),
-                    ),
-                    baseline: None,
-                    live_baseline: None,
-                }
-            })
-            .collect();
-        ShardedFeedbackLoop {
-            config,
-            router,
-            simulator,
-            shards,
-            epoch: 0,
-            faults: None,
-        }
-    }
-
-    /// Install (or clear) a fault-injection schedule for subsequent epoch and
-    /// delta rounds.  `None` is the production path.
-    pub fn set_fault_plan(&mut self, faults: Option<Arc<FaultPlan>>) {
-        self.faults = faults;
-    }
-
-    /// The router the loop serves through (shared with external serving paths,
-    /// so per-shard publishes are immediately visible to them).
-    pub fn router(&self) -> &Arc<ClusterRouter> {
-        &self.router
-    }
-
-    /// The sharded registry the loop publishes into.
-    pub fn registry(&self) -> &Arc<ShardedRegistry> {
-        self.router.registry()
-    }
-
-    /// Epochs completed so far.
-    pub fn epoch(&self) -> u32 {
-        self.epoch
-    }
-
-    /// One shard's current sliding window.
-    pub fn window(&self, cluster: ClusterId) -> Option<&TelemetryLog> {
-        self.shards
-            .iter()
-            .find(|s| s.cluster == cluster)
-            .map(|s| s.feedback.window())
-    }
-
-    /// Feed externally-ingested telemetry (a parsed firehose dump — see
-    /// `cleo_engine::telemetry_io` and `crate::ingest`) into the per-cluster
-    /// shard windows, applying each shard's standard eviction policy.
-    ///
-    /// This is the offline complement of [`ShardedFeedbackLoop::run_epoch`]'s
-    /// serve-then-ingest path: records are partitioned by cluster (moved, not
-    /// cloned) and each shard's [`FeedbackLoop::observe`] ingests its slice —
-    /// in parallel across shards via the same [`std::thread::scope`] pool the
-    /// retrain rounds use.  Records whose cluster has no shard are dropped and
-    /// counted (the fallback model serves those clusters; nothing learns from
-    /// them).  No training or publishing happens here; the next epoch or
-    /// delta round trains on the fattened windows.
-    pub fn observe(&mut self, log: TelemetryLog) -> Result<ObserveReport> {
-        let total_jobs = log.len();
-        let (ingest, unrouted_jobs) = self.partition(log);
-        let (evictions, failed) = self.run_shard_rounds(ingest, |state, log| {
-            Ok(state.feedback.observe(log.unwrap_or_default()))
-        });
-        Ok(ObserveReport {
-            accepted_jobs: total_jobs - unrouted_jobs,
-            unrouted_jobs,
-            evicted_jobs: evictions.iter().sum(),
-            failed_shards: failed.len(),
-        })
-    }
-
-    /// Run one fleet-wide epoch over a multi-cluster job stream: serve through
-    /// the router, partition telemetry by cluster, run every shard's guarded
-    /// retrain in parallel, publish shard-atomically.
-    pub fn run_epoch(&mut self, jobs: &[&JobSpec]) -> Result<ShardedEpochReport> {
-        self.epoch += 1;
-        let epoch = self.epoch;
-        let routing_before = self.router.routing_stats();
-        let served = self.serve_and_partition(jobs, epoch)?;
-
-        // Per-cluster epochs, in parallel across shards.  Each shard's round is
-        // a pure function of (window, epoch, its own incumbent), so the thread
-        // assignment cannot change any outcome — only the wall clock.  Rounds
-        // are failure-isolated: a panicking or erroring shard lands in
-        // `failed` while every other shard's round completes.
-        let config = self.config;
-        let faults = self.faults.clone();
-        let (shards, failed) = self.run_shard_rounds(served.ingest, |state, log| {
-            run_shard_epoch(state, log, &config, epoch, faults.as_deref())
-        });
-
-        Ok(ShardedEpochReport {
-            epoch,
-            jobs_run: served.jobs_run,
-            unrouted_jobs: served.unrouted_jobs,
-            total_latency: served.total_latency,
-            shards,
-            failed,
-            routing: self.router.routing_stats().since(&routing_before),
-        })
-    }
-
-    /// Run one fleet-wide **sub-epoch delta round**: serve through the router,
-    /// partition telemetry by cluster, and refit only each shard's dirty
-    /// signatures in parallel, publishing per-shard copy-on-write deltas (see
-    /// [`FeedbackLoop::run_delta_round`]).  Shards whose registry is still
-    /// cold skip (deltas apply over an incumbent); the epoch counter does not
-    /// advance, and the next full epoch's training is bit-independent of any
-    /// deltas published here.
-    pub fn run_delta_round(&mut self, jobs: &[&JobSpec]) -> Result<ShardedDeltaReport> {
-        let epoch = self.epoch;
-        let routing_before = self.router.routing_stats();
-        let served = self.serve_and_partition(jobs, epoch)?;
-
-        let config = self.config;
-        let faults = self.faults.clone();
-        let (shards, failed) = self.run_shard_rounds(served.ingest, |state, log| {
-            run_shard_delta(state, log, &config, epoch, faults.as_deref())
-        });
-
-        Ok(ShardedDeltaReport {
-            jobs_run: served.jobs_run,
-            unrouted_jobs: served.unrouted_jobs,
-            total_latency: served.total_latency,
-            shards,
-            failed,
-            routing: self.router.routing_stats().since(&routing_before),
-        })
-    }
-
-    /// Split a log by cluster into per-shard slices aligned with the shard
-    /// list, and count the records whose cluster has no shard (dropped).
-    /// Consuming, so records move into the shard windows without cloning any
-    /// plan.
-    fn partition(&self, log: TelemetryLog) -> (Vec<Option<TelemetryLog>>, usize) {
-        let mut ingest: Vec<Option<TelemetryLog>> = (0..self.shards.len()).map(|_| None).collect();
-        let mut unrouted_jobs = 0usize;
-        for (cluster, part) in log.into_cluster_partitions() {
-            match self.router.registry().shard_index(cluster) {
-                Some(i) => ingest[i] = Some(part),
-                None => unrouted_jobs += part.len(),
-            }
-        }
-        (ingest, unrouted_jobs)
-    }
-
-    /// Serve a job stream through the router and partition the telemetry by
-    /// shard: the common prologue of full epochs and delta rounds.  All
-    /// publishes of a round happen strictly after serving completes, so every
-    /// job routes against the same shard states — which is what makes serving
-    /// bit-deterministic across serving thread counts.  Jobs from unmapped
-    /// clusters were served by the fallback but have no shard window to learn
-    /// in.
-    fn serve_and_partition(&self, jobs: &[&JobSpec], epoch: u32) -> Result<ServedPartition> {
-        let served = crate::pipeline::run_jobs_shared(
-            jobs,
-            Arc::clone(&self.router) as Arc<dyn CostModelProvider>,
-            self.config.shard.optimizer,
-            &self.simulator,
-            epoch,
-            self.config.shard.serving_threads,
-        )?;
-        let jobs_run = served.len();
-        let total_latency = served.total_latency();
-        let (ingest, unrouted_jobs) = self.partition(served);
-        Ok(ServedPartition {
-            jobs_run,
-            total_latency,
-            unrouted_jobs,
-            ingest,
-        })
-    }
-
-    /// Run one round function over every shard (with its ingest slice), spread
-    /// across [`ShardedFeedbackConfig::shard_threads`] OS threads.  Each
-    /// shard's round is a pure function of its own state, so the thread
-    /// assignment cannot change any outcome — only the wall clock.
-    ///
-    /// Rounds are **failure-isolated**: each shard's round runs under
-    /// `catch_unwind`, so an erroring or panicking shard becomes a
-    /// [`ShardFailure`] while every other shard's report is returned normally
-    /// — one bad shard can no longer abort a fleet round.  A failed round
-    /// publishes nothing after the failure, but what it did before stays done
-    /// and unreported: epoch and delta rounds run the publish watchdog first,
-    /// so a failed shard may have rolled back its served version (that
-    /// [`WatchdogVerdict`] is lost with the report), and its window may have
-    /// ingested this round's telemetry.  The shard keeps serving whatever
-    /// version it held when the round failed.
-    fn run_shard_rounds<R: Send>(
-        &mut self,
-        ingest: Vec<Option<TelemetryLog>>,
-        round: impl Fn(&mut ShardState, Option<TelemetryLog>) -> Result<R> + Sync,
-    ) -> (Vec<R>, Vec<ShardFailure>) {
-        let threads = if self.config.shard_threads == 0 {
-            std::thread::available_parallelism()
-                .map(|n| n.get())
-                .unwrap_or(1)
-        } else {
-            self.config.shard_threads
-        }
-        .min(self.shards.len().max(1));
-
-        let mut work: Vec<(&mut ShardState, Option<TelemetryLog>)> =
-            self.shards.iter_mut().zip(ingest).collect();
-        let mut outcomes: Vec<std::result::Result<R, ShardFailure>> =
-            Vec::with_capacity(work.len());
-        if threads <= 1 {
-            for (state, log) in work.iter_mut() {
-                outcomes.push(run_round_isolated(&round, state, log.take()));
-            }
-        } else {
-            let chunk_size = work.len().div_ceil(threads);
-            // Cluster lists per chunk, captured up front so that even a panic
-            // escaping a chunk worker (not just a shard round) degrades to
-            // per-shard failures instead of aborting the fleet.
-            let chunk_clusters: Vec<Vec<ClusterId>> = work
-                .chunks(chunk_size)
-                .map(|chunk| chunk.iter().map(|(state, _)| state.cluster).collect())
-                .collect();
-            std::thread::scope(|scope| {
-                let handles: Vec<_> = work
-                    .chunks_mut(chunk_size)
-                    .map(|chunk| {
-                        let round = &round;
-                        scope.spawn(move || {
-                            chunk
-                                .iter_mut()
-                                .map(|(state, log)| run_round_isolated(round, state, log.take()))
-                                .collect::<Vec<_>>()
-                        })
-                    })
-                    .collect();
-                for (handle, clusters) in handles.into_iter().zip(chunk_clusters) {
-                    match handle.join() {
-                        Ok(chunk_outcomes) => outcomes.extend(chunk_outcomes),
-                        Err(_) => outcomes.extend(clusters.into_iter().map(|cluster| {
-                            Err(ShardFailure {
-                                cluster,
-                                error: CleoError::Unavailable("shard round worker panicked".into()),
-                            })
-                        })),
-                    }
-                }
-            });
-        }
-        let mut reports = Vec::with_capacity(outcomes.len());
-        let mut failed = Vec::new();
-        for outcome in outcomes {
-            match outcome {
-                Ok(report) => reports.push(report),
-                Err(failure) => failed.push(failure),
-            }
-        }
-        (reports, failed)
-    }
-}
-
-/// Run one shard's round under `catch_unwind`, converting an error or panic
-/// into a [`ShardFailure`] (the isolation primitive of the fleet rounds).
-fn run_round_isolated<R>(
-    round: &(impl Fn(&mut ShardState, Option<TelemetryLog>) -> Result<R> + Sync),
-    state: &mut ShardState,
-    log: Option<TelemetryLog>,
-) -> std::result::Result<R, ShardFailure> {
-    let cluster = state.cluster;
-    match catch_unwind(AssertUnwindSafe(|| round(state, log))) {
-        Ok(Ok(report)) => Ok(report),
-        Ok(Err(error)) => Err(ShardFailure { cluster, error }),
-        Err(payload) => Err(ShardFailure {
-            cluster,
-            error: CleoError::Unavailable(format!(
-                "shard round panicked: {}",
-                panic_message(payload.as_ref())
-            )),
-        }),
-    }
-}
-
-/// What the common start of a shard round did.
-struct RoundStart {
-    watchdog: WatchdogVerdict,
-    ingested_jobs: usize,
-    evicted_jobs: usize,
-}
-
-/// The start of every shard round, epoch or delta: align the shard's loop
-/// with the fleet epoch, run the publish watchdog over the fresh telemetry,
-/// fire any fault injected at `site` for this round, then ingest through the
-/// shard's [`FeedbackLoop::observe`] (standard eviction).
-fn begin_shard_round(
-    state: &mut ShardState,
-    ingest: Option<TelemetryLog>,
-    config: &ShardedFeedbackConfig,
-    epoch: u32,
-    faults: Option<&FaultPlan>,
-    site: FaultSite,
-) -> Result<RoundStart> {
-    state.feedback.set_epoch(epoch);
-    let watchdog = run_publish_watchdog(state, ingest.as_ref(), &config.watchdog, faults);
-    if let Some(faults) = faults {
-        let cluster = state.cluster.0;
-        if faults.fires(site, ((epoch as u64) << 8) | cluster as u64) {
-            if site == FaultSite::ShardRoundPanic {
-                panic!("injected fault: shard round panic (epoch {epoch}, cluster {cluster})");
-            }
-            return Err(CleoError::Config(format!(
-                "injected fault: corrupted delta (epoch {epoch}, cluster {cluster})"
-            )));
-        }
-    }
-    let ingested_jobs = ingest.as_ref().map_or(0, TelemetryLog::len);
-    let evicted_jobs = state.feedback.observe(ingest.unwrap_or_default());
-    Ok(RoundStart {
-        watchdog,
-        ingested_jobs,
-        evicted_jobs,
-    })
-}
-
-/// One shard's slice of a sub-epoch delta round: the round start (standard
-/// eviction only — drift baselines belong to full publishes), then the
-/// shard loop's dirty-only guarded retrain and copy-on-write delta publish.
-fn run_shard_delta(
-    state: &mut ShardState,
-    ingest: Option<TelemetryLog>,
-    config: &ShardedFeedbackConfig,
-    epoch: u32,
-    faults: Option<&FaultPlan>,
-) -> Result<ShardDeltaReport> {
-    let start = begin_shard_round(
-        state,
-        ingest,
-        config,
-        epoch,
-        faults,
-        FaultSite::CorruptDelta,
-    )?;
-    let started = Instant::now();
-    let outcome = state.feedback.publish_dirty()?;
-    let round_micros = started.elapsed().as_micros();
-
-    Ok(ShardDeltaReport {
-        cluster: state.cluster,
-        ingested_jobs: start.ingested_jobs,
-        window_jobs: state.feedback.window().len(),
-        evicted_jobs: start.evicted_jobs,
-        outcome,
-        served_version: state.feedback.registry().current_version(),
-        watchdog: start.watchdog,
-        round_micros,
-    })
-}
-
-/// One shard's slice of an epoch: the round start, drift-aware eviction, then
-/// the shard loop's guarded retrain and shard-atomic publish.
-fn run_shard_epoch(
-    state: &mut ShardState,
-    ingest: Option<TelemetryLog>,
-    config: &ShardedFeedbackConfig,
-    epoch: u32,
-    faults: Option<&FaultPlan>,
-) -> Result<ShardEpochReport> {
-    let start = begin_shard_round(
-        state,
-        ingest,
-        config,
-        epoch,
-        faults,
-        FaultSite::ShardRoundPanic,
-    )?;
-
-    let mut drift_score = None;
-    let mut drift_evicted = 0;
-    if config.drift.enabled {
-        if let Some(baseline) = &state.baseline {
-            let window = state.feedback.window();
-            let score = window.feature_moments().drift_from(baseline);
-            drift_score = Some(score);
-            if score > config.drift.threshold {
-                // The pre-shift tail no longer describes what the shard serves:
-                // keep the newest half (but never starve the trainer) and take
-                // a fresh snapshot at the next publish.
-                let keep = (window.len() / 2).max(config.shard.min_training_jobs);
-                drift_evicted = state.feedback.keep_newest(keep);
-                state.baseline = None;
-            }
-        }
-    }
-
-    let started = Instant::now();
-    let retrain = state.feedback.retrain()?;
-    let retrain_micros = started.elapsed().as_micros();
-    if matches!(retrain.decision, PublishDecision::Published { .. }) {
-        state.baseline = Some(state.feedback.window().feature_moments());
-    }
-
-    Ok(ShardEpochReport {
-        cluster: state.cluster,
-        ingested_jobs: start.ingested_jobs,
-        window_jobs: state.feedback.window().len(),
-        evicted_jobs: start.evicted_jobs,
-        drift_score,
-        drift_evicted,
-        retrain,
-        served_version: state.feedback.registry().current_version(),
-        watchdog: start.watchdog,
-        retrain_micros,
-    })
-}
-
-/// The publish watchdog: measure the *served* version's live error on the
-/// round's freshly-arrived telemetry that carries its provenance, and roll it
-/// back if it regressed past the guard relative to the previous version's
-/// measured live error.  Runs at the start of each shard round, before the
-/// fresh records merge into the training window.
-fn run_publish_watchdog(
-    state: &mut ShardState,
-    ingest: Option<&TelemetryLog>,
-    policy: &WatchdogPolicy,
-    faults: Option<&FaultPlan>,
-) -> WatchdogVerdict {
-    if !policy.enabled {
-        return WatchdogVerdict::NotChecked;
-    }
-    let Some(log) = ingest else {
-        return WatchdogVerdict::NotChecked;
-    };
-    let served_version = state.feedback.registry().current_version();
-    if served_version == 0 {
-        return WatchdogVerdict::NotChecked;
-    }
-    let Some(snapshot) = state.feedback.registry().current() else {
-        return WatchdogVerdict::NotChecked;
-    };
-    // Only records this version served for this cluster measure its live
-    // error; donor-served and stale-version records say nothing about it.
-    let fresh: Vec<&JobTelemetry> = log
-        .jobs()
-        .iter()
-        .filter(|job| {
-            job.provenance.model_cluster == Some(state.cluster)
-                && job.provenance.model_version == served_version
-        })
-        .collect();
-    if fresh.len() < policy.min_samples {
-        return WatchdogVerdict::NotChecked;
-    }
-    let evaluation = crate::pipeline::evaluate_cost_model_jobs(
-        snapshot.cost_model().as_ref(),
-        fresh.iter().copied(),
-    );
-    let mut live_error_pct = evaluation.median_error_pct;
-    if let Some(faults) = faults {
-        live_error_pct *= faults.error_multiplier((served_version << 8) | state.cluster.0 as u64);
-    }
-    // Watchdog events carry a logical identity derived from the version under
-    // measurement and the shard — both fixed by the round's inputs, so the
-    // event multiset is thread-count-invariant.
-    let obs_seq = (served_version << 8) | u64::from(state.cluster.0);
-    match state.live_baseline {
-        Some((baseline_version, baseline_error_pct))
-            if baseline_version != served_version
-                && live_error_pct > baseline_error_pct + policy.max_error_regression_pct =>
-        {
-            if let Some((obs, cluster)) = state.feedback.registry().obs_binding() {
-                obs.emit(TraceEvent::Watchdog {
-                    seq: obs_seq,
-                    cluster,
-                    verdict: obs::WatchdogKind::RolledBack,
-                    version: served_version,
-                });
-            }
-            let now_serving = state.feedback.registry().rollback();
-            WatchdogVerdict::RolledBack {
-                from_version: served_version,
-                to_version: now_serving.map(|s| s.version()).unwrap_or(0),
-                live_error_pct,
-                baseline_error_pct,
-            }
-        }
-        _ => {
-            state.live_baseline = Some((served_version, live_error_pct));
-            if let Some((obs, cluster)) = state.feedback.registry().obs_binding() {
-                obs.emit(TraceEvent::Watchdog {
-                    seq: obs_seq,
-                    cluster,
-                    verdict: obs::WatchdogKind::Healthy,
-                    version: served_version,
-                });
-            }
-            WatchdogVerdict::Healthy {
-                version: served_version,
-                live_error_pct,
-            }
-        }
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use cleo_engine::exec::SimulatorConfig;
+    use crate::feedback::{
+        DriftPolicy, FeedbackConfig, ShardedFeedbackConfig, ShardedFeedbackLoop,
+    };
+    use cleo_engine::exec::{Simulator, SimulatorConfig};
     use cleo_engine::workload::generator::{
         generate_all_clusters, generate_cluster_workload, interleave_jobs, ClusterConfig,
     };
+    use cleo_engine::workload::JobSpec;
     use cleo_optimizer::HeuristicCostModel;
 
     fn four_shard_router() -> Arc<ClusterRouter> {

@@ -28,7 +28,10 @@ use std::time::Duration;
 
 use cleo_common::fault::{FaultPlan, FaultSite};
 use cleo_common::CleoError;
-use cleo_core::feedback::{FeedbackConfig, WindowEviction};
+use cleo_core::feedback::{
+    FeedbackConfig, ShardedFeedbackConfig, ShardedFeedbackLoop, WatchdogPolicy, WatchdogVerdict,
+    WindowEviction,
+};
 use cleo_core::ingest::{
     parse_telemetry, parse_telemetry_quarantine, parse_telemetry_quarantine_obs, QuarantinePolicy,
     QuarantinedRecord, WireFormat,
@@ -37,8 +40,7 @@ use cleo_core::models::{CleoPredictor, CombinedModel, ModelStore, OperatorSample
 use cleo_core::registry::HoldoutMetrics;
 use cleo_core::serving::{FrontDoor, FrontDoorConfig};
 use cleo_core::sharding::{
-    BreakerPolicy, BreakerState, ClusterRouter, ServingPool, ShardedFeedbackConfig,
-    ShardedFeedbackLoop, ShardedRegistry, WatchdogPolicy, WatchdogVerdict,
+    BreakerPolicy, BreakerState, ClusterRouter, ServingPool, ShardedRegistry,
 };
 use cleo_core::signature::ModelFamily;
 use cleo_core::trainer::{CleoTrainer, TrainerConfig};

@@ -18,13 +18,14 @@
 
 use std::sync::Arc;
 
-use cleo_core::feedback::{DeltaDecision, FeedbackConfig, FeedbackLoop, WindowEviction};
+use cleo_core::feedback::{
+    DeltaDecision, FeedbackConfig, FeedbackLoop, ShardedFeedbackConfig, ShardedFeedbackLoop,
+    WindowEviction,
+};
 use cleo_core::models::{CombinedModel, ModelStore, OperatorSample};
 use cleo_core::pipeline::run_jobs;
 use cleo_core::registry::{HoldoutMetrics, ModelDelta, ModelRegistry, SnapshotLineage};
-use cleo_core::sharding::{
-    ClusterRouter, ShardedFeedbackConfig, ShardedFeedbackLoop, ShardedRegistry,
-};
+use cleo_core::sharding::{ClusterRouter, ShardedRegistry};
 use cleo_core::signature::ModelFamily;
 use cleo_core::trainer::TrainerConfig;
 use cleo_core::{CleoPredictor, LearnedCostModel, PublishDecision, RegistryCostModelProvider};

@@ -12,11 +12,11 @@
 
 use std::sync::Arc;
 
-use cleo_core::feedback::{FeedbackConfig, WindowEviction};
-use cleo_core::scenario::{compile_str, suites, ScenarioSuite};
-use cleo_core::sharding::{
-    ClusterRouter, ShardedFeedbackConfig, ShardedFeedbackLoop, ShardedRegistry,
+use cleo_core::feedback::{
+    FeedbackConfig, ShardedFeedbackConfig, ShardedFeedbackLoop, WindowEviction,
 };
+use cleo_core::scenario::{compile_str, suites, ScenarioSuite};
+use cleo_core::sharding::{ClusterRouter, ShardedRegistry};
 use cleo_core::trainer::TrainerConfig;
 use cleo_engine::exec::{Simulator, SimulatorConfig};
 use cleo_engine::types::{ClusterId, DayIndex};

@@ -22,13 +22,14 @@ use std::sync::Arc;
 
 use cleo_common::rng::DetRng;
 use cleo_common::CleoError;
-use cleo_core::feedback::{DeltaDecision, FeedbackConfig, FeedbackLoop, WindowEviction};
+use cleo_core::feedback::{
+    DeltaDecision, FeedbackConfig, FeedbackLoop, ShardedFeedbackConfig, ShardedFeedbackLoop,
+    WindowEviction,
+};
 use cleo_core::models::{CleoPredictor, CombinedModel, ModelStore, OperatorSample};
 use cleo_core::pipeline;
 use cleo_core::registry::{HoldoutMetrics, ModelRegistry, SnapshotLineage};
-use cleo_core::sharding::{
-    ClusterRouter, ShardedFeedbackConfig, ShardedFeedbackLoop, ShardedRegistry,
-};
+use cleo_core::sharding::{ClusterRouter, ShardedRegistry};
 use cleo_core::signature::ModelFamily;
 use cleo_core::trainer::TrainerConfig;
 use cleo_engine::exec::{Simulator, SimulatorConfig};

@@ -19,13 +19,13 @@ use std::sync::Arc;
 
 use cleo_common::hash::StableHasher;
 use cleo_common::rng::DetRng;
-use cleo_core::feedback::{DeltaDecision, FeedbackConfig, FeedbackLoop, WindowEviction};
+use cleo_core::feedback::{
+    DeltaDecision, DriftPolicy, FeedbackConfig, FeedbackLoop, ShardedFeedbackConfig,
+    ShardedFeedbackLoop, WatchdogPolicy, WindowEviction,
+};
 use cleo_core::pipeline;
 use cleo_core::registry::{HoldoutMetrics, ModelRegistry};
-use cleo_core::sharding::{
-    ClusterRouter, DriftPolicy, ShardedFeedbackConfig, ShardedFeedbackLoop, ShardedRegistry,
-    WatchdogPolicy,
-};
+use cleo_core::sharding::{ClusterRouter, ShardedRegistry};
 use cleo_core::trainer::{CleoTrainer, TrainerConfig};
 use cleo_engine::exec::{Simulator, SimulatorConfig};
 use cleo_engine::telemetry::TelemetryLog;
