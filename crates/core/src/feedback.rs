@@ -20,6 +20,15 @@
 //!    deterministic holdout slice of the window; it is published to the
 //!    [`ModelRegistry`] only when it does not regress, otherwise the previous
 //!    version keeps serving (and the rejection is reported).
+//!
+//! At fleet scale, [`ShardedFeedbackLoop`] runs one such loop per cluster.  It
+//! serves a multi-cluster stream through the [`ClusterRouter`], partitions the
+//! telemetry by cluster, and hands each slice to its shard's [`FeedbackLoop`],
+//! which ingests, evicts, retrains and publishes into the cluster's registry
+//! shard exactly as a single loop does.  The fleet adds only what one loop
+//! does not need: the failure-isolated parallel fan-out across shards,
+//! drift-aware window eviction ([`DriftPolicy`]) and the post-publish
+//! live-error watchdog ([`WatchdogPolicy`]).
 
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::Arc;
@@ -326,12 +335,6 @@ impl FeedbackLoop {
         self.epoch
     }
 
-    /// Align the loop's epoch with a fleet's: a shard's retrains and deltas
-    /// are seeded and stamped with the fleet epoch.
-    pub(crate) fn set_epoch(&mut self, epoch: u32) {
-        self.epoch = epoch;
-    }
-
     /// Ingest externally executed telemetry into the sliding window (applies the
     /// eviction policy).  Returns the number of evicted jobs.
     pub fn observe(&mut self, log: TelemetryLog) -> usize {
@@ -340,12 +343,6 @@ impl FeedbackLoop {
             WindowEviction::JobCount(max_jobs) => self.window.drain_window(max_jobs).len(),
             WindowEviction::RecentDays(days) => self.window.retain_recent_days(days).len(),
         }
-    }
-
-    /// Evict all but the newest `keep` window jobs (a fleet shard's drift
-    /// eviction).  Returns the number of evicted jobs.
-    pub(crate) fn keep_newest(&mut self, keep: usize) -> usize {
-        self.window.drain_window(keep).len()
     }
 
     /// Serve `jobs` against the current version: optimize concurrently,
@@ -1339,7 +1336,9 @@ fn begin_shard_round(
     faults: Option<&FaultPlan>,
     site: FaultSite,
 ) -> Result<RoundStart> {
-    state.feedback.set_epoch(epoch);
+    // A shard's retrains and deltas are seeded and stamped with the fleet
+    // epoch.
+    state.feedback.epoch = epoch;
     let watchdog = run_publish_watchdog(state, ingest.as_ref(), &config.watchdog, faults);
     if let Some(faults) = faults {
         let cluster = state.cluster.0;
@@ -1417,7 +1416,7 @@ fn run_shard_epoch(
     let mut drift_evicted = 0;
     if config.drift.enabled {
         if let Some(baseline) = &state.baseline {
-            let window = state.feedback.window();
+            let window = &mut state.feedback.window;
             let score = window.feature_moments().drift_from(baseline);
             drift_score = Some(score);
             if score > config.drift.threshold {
@@ -1425,7 +1424,7 @@ fn run_shard_epoch(
                 // keep the newest half (but never starve the trainer) and take
                 // a fresh snapshot at the next publish.
                 let keep = (window.len() / 2).max(config.shard.min_training_jobs);
-                drift_evicted = state.feedback.keep_newest(keep);
+                drift_evicted = window.drain_window(keep).len();
                 state.baseline = None;
             }
         }

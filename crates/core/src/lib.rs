@@ -20,17 +20,19 @@
 //!   behind an atomic publish/load seam, served to concurrent optimizations,
 //! * [`feedback`] — the continuous loop of Section 5.1: epoch-driven serving over a
 //!   bounded sliding telemetry window, parallel retraining, and holdout-guarded
-//!   version rollout,
-//! * [`sharding`] — the fleet-scale tier: per-cluster registry shards behind a
-//!   lock-free shard map, a routing [`cleo_optimizer::CostModelProvider`] with
-//!   deterministic cross-cluster fallback chains, per-cluster feedback
-//!   epochs running in parallel with drift-aware window eviction, and the
+//!   version rollout; [`feedback::ShardedFeedbackLoop`] runs one such loop per
+//!   cluster in parallel, with drift-aware window eviction and a live-error
+//!   rollback watchdog,
+//! * [`sharding`] — the fleet-scale serving tier: per-cluster registry shards
+//!   behind a lock-free shard map, a routing
+//!   [`cleo_optimizer::CostModelProvider`] with deterministic cross-cluster
+//!   fallback chains and per-shard circuit breakers, and the
 //!   [`sharding::ServingPool`] of shard-pinned, work-stealing worker threads,
 //! * [`serving`] — the async serving front end: open-loop arrivals, bounded
 //!   admission with shed/delay backpressure, and coalescing of requests into
 //!   pool batches behind a backlog,
 //! * [`ingest`] — telemetry ingestion: one serial parse per wire format, strict
-//!   or with per-record quarantine, whose log feeds
+//!   or with per-record quarantine, whose log feeds a fleet through
 //!   [`feedback::ShardedFeedbackLoop::observe`],
 //! * [`scenario`] — the workload-scenario DSL: declarative suites (drift
 //!   ramps, flash crowds, tenant arrival/churn, adversarial signature floods,

@@ -3,7 +3,7 @@
 //! The paper's deployment serves ~25K learned models *per cluster* across many
 //! clusters (Section 5.1); one process-wide [`crate::registry::ModelRegistry`]
 //! silently averages heterogeneous clusters into a single model.  This module
-//! is the fleet-scale tier that fixes that:
+//! is the fleet-scale serving tier that fixes that:
 //!
 //! * [`ShardedRegistry`] — one registry shard per cluster behind a lock-free
 //!   lookup table (cluster id → shard index, fixed at construction).  Each
@@ -15,13 +15,17 @@
 //!   fallback chain**: donor shards ordered by workload similarity
 //!   ([`WorkloadProfile::distance`]), then the hand-written version-0 model.
 //!   Routing outcomes are counted in [`RoutingSnapshot`].
-//! * [`crate::feedback::ShardedFeedbackLoop`] — the continuous loop at fleet scale: serve a
-//!   multi-cluster stream through the router, partition the telemetry by
-//!   cluster, and run one guarded retrain epoch **per shard in parallel**
-//!   (each reusing the PR 2 holdout guard and the dirty-signature warm start),
-//!   with optional drift-aware window eviction per cluster.  Every shard
-//!   publishes atomically into its own registry; readers never see a torn
-//!   fleet state because there is no cross-shard state to tear.
+//! * Per-shard circuit breakers ([`BreakerPolicy`]) inside the router — a
+//!   shard whose served batches keep failing routes its jobs down its donor
+//!   chain for a cooldown, then probes back half-open.  Outcomes fold in
+//!   batch-submission order, so every decision is the same for any number of
+//!   workers.
+//! * [`ServingPool`] — shard-pinned, work-stealing worker threads that serve
+//!   coalesced batches through worker-local snapshot caches; a batch whose
+//!   worker dies is requeued once, and its [`Ticket`] always resolves.
+//!
+//! The fleet's feedback loop, one [`crate::feedback::FeedbackLoop`] per
+//! registry shard, is [`crate::feedback::ShardedFeedbackLoop`].
 
 use std::collections::{BTreeMap, VecDeque};
 use std::panic::{catch_unwind, AssertUnwindSafe};
