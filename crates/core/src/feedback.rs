@@ -271,8 +271,8 @@ impl FeedbackLoop {
 
     /// Create a loop that publishes into `registry` and treats `fallback` as
     /// version 0 while the registry is cold.  Each shard of a
-    /// [`ShardedFeedbackLoop`] is one such loop, over its
-    /// cluster's registry shard and the router's fallback model.
+    /// [`ShardedFeedbackLoop`] is one such loop, over its cluster's registry
+    /// shard and the router's fallback model.
     pub fn with_registry(
         config: FeedbackConfig,
         simulator: Simulator,
