@@ -11,7 +11,9 @@
 //!   figures (Figures 1, 11, 12, 13, 15),
 //! * [`hash`] — stable 64-bit hashing used for operator/subgraph signatures
 //!   (Section 5.1 of the paper),
-//! * [`concurrency`] — cacheline-striped counters for the serving hot path,
+//! * [`concurrency`] — the one thread fan-out ([`concurrency::par_map`]:
+//!   results in item order on 1 thread or N) and cacheline-striped counters
+//!   for the serving hot path,
 //! * [`fault`] — seeded, deterministic fault injection for chaos testing,
 //! * [`obs`] — the observability layer: metrics registry, mergeable latency
 //!   histograms, and deterministic trace events,

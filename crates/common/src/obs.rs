@@ -701,15 +701,6 @@ impl MetricsRegistry {
         h
     }
 
-    /// Adopt an existing histogram under `name` (see
-    /// [`MetricsRegistry::register_counter`]).
-    pub fn register_histogram(&self, name: &str, histogram: &Arc<LatencyHistogram>) {
-        self.histograms
-            .lock()
-            .expect("registry poisoned")
-            .insert(name.to_string(), Arc::clone(histogram));
-    }
-
     /// Point-in-time values of every registered metric, name-sorted.  Exact
     /// once writers have quiesced.
     pub fn snapshot(&self) -> MetricsSnapshot {
@@ -870,14 +861,6 @@ impl Obs {
     /// A fresh registry + trace log with default trace capacity.
     pub fn new() -> Obs {
         Obs::default()
-    }
-
-    /// A fresh registry with `capacity_per_shard` trace slots per stripe.
-    pub fn with_trace_capacity(capacity_per_shard: usize) -> Obs {
-        Obs {
-            metrics: MetricsRegistry::new(),
-            trace: TraceLog::with_capacity(capacity_per_shard),
-        }
     }
 
     /// Convenience: wrap in the `Option<Arc<..>>` shape the seams thread

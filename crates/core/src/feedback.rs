@@ -34,6 +34,7 @@ use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::Arc;
 use std::time::Instant;
 
+use cleo_common::concurrency::par_map;
 use cleo_common::fault::{FaultPlan, FaultSite};
 use cleo_common::obs::{self, TraceEvent};
 use cleo_common::{CleoError, Result};
@@ -235,17 +236,6 @@ pub struct EpochReport {
     pub evicted_jobs: usize,
     /// Retraining outcome.
     pub retrain: RetrainOutcome,
-}
-
-impl EpochReport {
-    /// Mean end-to-end job latency of the epoch (seconds).
-    pub fn mean_latency(&self) -> f64 {
-        if self.jobs_run == 0 {
-            0.0
-        } else {
-            self.total_latency / self.jobs_run as f64
-        }
-    }
 }
 
 /// The continuous feedback loop (serve → window → retrain → guarded publish).
@@ -561,7 +551,7 @@ impl FeedbackLoop {
             &families,
             &samples,
             config.trainer.min_samples_per_model,
-            config.trainer.effective_threads(),
+            config.trainer.threads,
             &chain_stores,
             &basis_stores,
             config.delta_min_dirty_share,
@@ -1091,7 +1081,7 @@ impl ShardedFeedbackLoop {
     /// This is the offline complement of [`ShardedFeedbackLoop::run_epoch`]'s
     /// serve-then-ingest path: records are partitioned by cluster (moved, not
     /// cloned) and each shard's [`FeedbackLoop::observe`] ingests its slice —
-    /// in parallel across shards via the same [`std::thread::scope`] pool the
+    /// in parallel across shards through the same [`par_map`] fan-out the
     /// retrain rounds use.  Records whose cluster has no shard are dropped and
     /// counted (the fallback model serves those clusters; nothing learns from
     /// them).  No training or publishing happens here; the next epoch or
@@ -1213,9 +1203,10 @@ impl ShardedFeedbackLoop {
     }
 
     /// Run one round function over every shard (with its ingest slice), spread
-    /// across [`ShardedFeedbackConfig::shard_threads`] OS threads.  Each
-    /// shard's round is a pure function of its own state, so the thread
-    /// assignment cannot change any outcome — only the wall clock.
+    /// across [`ShardedFeedbackConfig::shard_threads`] OS threads by
+    /// [`par_map`].  Each shard's round is a pure function of its own state,
+    /// so the thread assignment cannot change any outcome — only the wall
+    /// clock.
     ///
     /// Rounds are **failure-isolated**: each shard's round runs under
     /// `catch_unwind`, so an erroring or panicking shard becomes a
@@ -1232,58 +1223,14 @@ impl ShardedFeedbackLoop {
         ingest: Vec<Option<TelemetryLog>>,
         round: impl Fn(&mut ShardState, Option<TelemetryLog>) -> Result<R> + Sync,
     ) -> (Vec<R>, Vec<ShardFailure>) {
-        let threads = if self.config.shard_threads == 0 {
-            std::thread::available_parallelism()
-                .map(|n| n.get())
-                .unwrap_or(1)
-        } else {
-            self.config.shard_threads
-        }
-        .min(self.shards.len().max(1));
-
-        let mut work: Vec<(&mut ShardState, Option<TelemetryLog>)> =
+        let work: Vec<(&mut ShardState, Option<TelemetryLog>)> =
             self.shards.iter_mut().zip(ingest).collect();
-        let mut outcomes: Vec<std::result::Result<R, ShardFailure>> =
-            Vec::with_capacity(work.len());
-        if threads <= 1 {
-            for (state, log) in work.iter_mut() {
-                outcomes.push(run_round_isolated(&round, state, log.take()));
-            }
-        } else {
-            let chunk_size = work.len().div_ceil(threads);
-            // Cluster lists per chunk, captured up front so that even a panic
-            // escaping a chunk worker (not just a shard round) degrades to
-            // per-shard failures instead of aborting the fleet.
-            let chunk_clusters: Vec<Vec<ClusterId>> = work
-                .chunks(chunk_size)
-                .map(|chunk| chunk.iter().map(|(state, _)| state.cluster).collect())
-                .collect();
-            std::thread::scope(|scope| {
-                let handles: Vec<_> = work
-                    .chunks_mut(chunk_size)
-                    .map(|chunk| {
-                        let round = &round;
-                        scope.spawn(move || {
-                            chunk
-                                .iter_mut()
-                                .map(|(state, log)| run_round_isolated(round, state, log.take()))
-                                .collect::<Vec<_>>()
-                        })
-                    })
-                    .collect();
-                for (handle, clusters) in handles.into_iter().zip(chunk_clusters) {
-                    match handle.join() {
-                        Ok(chunk_outcomes) => outcomes.extend(chunk_outcomes),
-                        Err(_) => outcomes.extend(clusters.into_iter().map(|cluster| {
-                            Err(ShardFailure {
-                                cluster,
-                                error: CleoError::Unavailable("shard round worker panicked".into()),
-                            })
-                        })),
-                    }
-                }
-            });
-        }
+        let outcomes = par_map(
+            work,
+            self.config.shard_threads,
+            || (),
+            |_, (state, log)| run_round_isolated(&round, state, log),
+        );
         let mut reports = Vec::with_capacity(outcomes.len());
         let mut failed = Vec::new();
         for outcome in outcomes {

@@ -15,6 +15,7 @@ use cleo_mlkit::gbt::FastTreeRegressor;
 use cleo_mlkit::model::Regressor;
 use cleo_mlkit::{Dataset, FeatureMatrix};
 
+use cleo_common::concurrency::par_map;
 use cleo_common::scratch::recycle;
 use cleo_common::{CleoError, Result};
 use cleo_engine::physical::{JobMeta, PhysicalNode};
@@ -348,8 +349,8 @@ impl ModelStore {
     }
 
     /// Train stores for several families at once, spreading the per-signature
-    /// elastic-net fits across `threads` OS threads (`std::thread::scope`; no
-    /// runtime dependencies).
+    /// elastic-net fits across `threads` OS threads ([`par_map`]; `0` = every
+    /// core).
     ///
     /// Deployment-scale motivation (§5.1): a production cluster trains ~25K
     /// specialised models per run, and each fit is independent — an
@@ -531,34 +532,7 @@ impl ModelStore {
             (t.family_index, t.signature, kind, fitted)
         };
 
-        let threads = threads.max(1).min(tasks.len().max(1));
-        let fitted: Vec<FittedTask> = if threads <= 1 {
-            tasks.iter().map(run_task).collect()
-        } else {
-            // Stripe tasks across workers; each worker returns (stripe-local
-            // order preserved) and stripes are re-merged in task order, so the
-            // error reported on failure is also deterministic.
-            let mut results: Vec<Vec<FittedTask>> = Vec::with_capacity(threads);
-            std::thread::scope(|scope| {
-                let mut handles = Vec::with_capacity(threads);
-                for worker in 0..threads {
-                    let tasks = &tasks;
-                    let run_task = &run_task;
-                    handles.push(scope.spawn(move || {
-                        tasks
-                            .iter()
-                            .skip(worker)
-                            .step_by(threads)
-                            .map(run_task)
-                            .collect::<Vec<_>>()
-                    }));
-                }
-                for handle in handles {
-                    results.push(handle.join().expect("training worker panicked"));
-                }
-            });
-            results.into_iter().flatten().collect()
-        };
+        let fitted = par_map(tasks.iter().collect(), threads, || (), |_, t| run_task(t));
 
         let mut stores: Vec<ModelStore> = families
             .iter()
@@ -568,29 +542,14 @@ impl ModelStore {
             })
             .collect();
         let mut stats = WarmStartStats::default();
-        // Surface the first error in deterministic (signature-sorted) task order.
-        let mut first_error: Option<(usize, cleo_common::CleoError)> = None;
+        // Fits come back in (signature-sorted) task order, so the first error
+        // is the same at every thread count.
         for (family_index, signature, kind, fitted_model) in fitted {
-            match fitted_model {
-                Ok(model) => {
-                    stats.record(kind);
-                    if !(dirty_only && matches!(kind, FitKind::Reused | FitKind::Deferred)) {
-                        stores[family_index].models.insert(signature, model);
-                    }
-                }
-                Err(e) => {
-                    let rank = tasks
-                        .iter()
-                        .position(|t| t.family_index == family_index && t.signature == signature)
-                        .unwrap_or(usize::MAX);
-                    if first_error.as_ref().is_none_or(|(r, _)| rank < *r) {
-                        first_error = Some((rank, e));
-                    }
-                }
+            let model = fitted_model?;
+            stats.record(kind);
+            if !(dirty_only && matches!(kind, FitKind::Reused | FitKind::Deferred)) {
+                stores[family_index].models.insert(signature, model);
             }
-        }
-        if let Some((_, e)) = first_error {
-            return Err(e);
         }
         Ok((stores, stats))
     }
@@ -1071,12 +1030,6 @@ impl CleoPredictor {
         }
     }
 
-    /// Split the predictor back into its parts (used by the trainer when swapping in a
-    /// newly trained combined model).
-    pub fn into_parts(self) -> (Vec<ModelStore>, Arc<CombinedModel>) {
-        (self.stores, self.combined)
-    }
-
     /// Copy-on-write delta application: a new predictor where every signature
     /// covered by a `payload` store is overwritten with the payload's model
     /// and everything else — unchanged per-signature models *and* the combined
@@ -1143,12 +1096,6 @@ impl CleoPredictor {
     /// The combined meta-model.
     pub fn combined(&self) -> &CombinedModel {
         &self.combined
-    }
-
-    /// The shared handle to the combined meta-model (what delta application
-    /// clones instead of the ensemble itself).
-    pub fn shared_combined(&self) -> Arc<CombinedModel> {
-        Arc::clone(&self.combined)
     }
 
     /// Per-family + combined predictions for an operator at a candidate partition
@@ -1247,22 +1194,6 @@ impl CleoPredictor {
         self.predict_sweep_rows(&rows, scratch);
         scratch.bufs.sweeps = recycle(rows);
         &scratch.bufs.breakdowns
-    }
-
-    /// Batched prediction over feature rows that share one signature set.
-    /// Allocating convenience wrapper over [`CleoPredictor::predict_scratch`].
-    pub fn predict_batch_from_parts(
-        &self,
-        signatures: &SignatureSet,
-        feature_rows: &FeatureMatrix,
-    ) -> Vec<PredictionBreakdown> {
-        let sweep = SweepRows {
-            models: self.resolve(signatures),
-            rows: feature_rows.n_rows(),
-        };
-        let mut bufs = SweepBuffers::default();
-        self.predict_rows_into(&[sweep], feature_rows, &mut bufs);
-        bufs.breakdowns
     }
 
     /// Batched prediction over the feature rows already loaded into

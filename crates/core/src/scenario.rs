@@ -32,6 +32,7 @@
 //! thread or N produces bit-identical job streams — the scenario determinism
 //! tests pin exactly that.
 
+use cleo_common::concurrency::par_map;
 use cleo_common::{CleoError, Result};
 use cleo_engine::types::{ClusterId, DayIndex, JobId};
 use cleo_engine::workload::generator::{
@@ -504,42 +505,19 @@ impl ScenarioSuite {
         self.directives.len()
     }
 
-    /// Expand the suite into per-cluster workloads using up to `threads`
-    /// worker threads (floored at 1, capped at the cluster count).  Each
-    /// cluster's expansion is a pure function of (suite seed, declaration,
-    /// its directives), so the output is bit-identical for every thread
-    /// count — only wall-clock changes.
+    /// Expand the suite into per-cluster workloads on up to `threads`
+    /// worker threads ([`par_map`]; `0` = every core).  Each cluster's
+    /// expansion is a pure function of (suite seed, declaration, its
+    /// directives), so the output is bit-identical for every thread count —
+    /// only wall-clock changes.
     pub fn compile(&self, threads: usize) -> CompiledSuite {
-        let mut decls = self.clusters.clone();
+        let mut decls: Vec<&ClusterDecl> = self.clusters.iter().collect();
         decls.sort_by_key(|d| d.config.cluster);
-        let n = decls.len();
-        let threads = threads.clamp(1, n.max(1));
-        let mut slots: Vec<Option<GeneratedWorkload>> = (0..n).map(|_| None).collect();
-        std::thread::scope(|scope| {
-            let mut handles = Vec::with_capacity(threads);
-            for t in 0..threads {
-                let decls = &decls;
-                handles.push(scope.spawn(move || {
-                    let mut built = Vec::new();
-                    let mut i = t;
-                    while i < decls.len() {
-                        built.push((i, self.build_cluster(&decls[i])));
-                        i += threads;
-                    }
-                    built
-                }));
-            }
-            for handle in handles {
-                for (i, workload) in handle.join().expect("scenario worker panicked") {
-                    slots[i] = Some(workload);
-                }
-            }
-        });
         CompiledSuite {
             name: self.name.clone(),
             seed: self.seed,
             days: self.days,
-            workloads: slots.into_iter().map(|s| s.expect("slot filled")).collect(),
+            workloads: par_map(decls, threads, || (), |_, decl| self.build_cluster(decl)),
         }
     }
 

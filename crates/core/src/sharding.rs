@@ -468,13 +468,6 @@ impl ClusterRouter {
         }
     }
 
-    /// Reset the routing counters (e.g. between benchmark phases).
-    pub fn reset_routing_stats(&self) {
-        self.stats.own.reset();
-        self.stats.donor.reset();
-        self.stats.fallback.reset();
-    }
-
     /// Attach an observability handle: the routing counters register into the
     /// metrics registry (`router.own_hits` / `router.donor_hits` /
     /// `router.fallback_hits` — the same striped counters
@@ -1016,11 +1009,6 @@ impl ServingPool {
     /// Number of shard queues.
     pub fn shard_count(&self) -> usize {
         self.inner.shards.len()
-    }
-
-    /// Number of worker threads.
-    pub fn worker_count(&self) -> usize {
-        self.workers.len()
     }
 
     /// The serving optimizer the workers execute through.

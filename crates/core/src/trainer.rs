@@ -6,13 +6,14 @@
 //! meta-model is trained on the individual models' predictions over held-out jobs,
 //! so it learns where each family can and cannot be trusted.
 
+use cleo_common::concurrency::par_map;
 use cleo_common::rng::DetRng;
 use cleo_common::Result;
 use cleo_engine::telemetry::{JobTelemetry, TelemetryLog};
 
 use crate::models::{
     sample_hashes, CleoPredictor, CombinedModel, HashedSamples, ModelStore, OperatorSample,
-    PredictionBreakdown, WarmStartStats,
+    WarmStartStats,
 };
 use crate::signature::ModelFamily;
 
@@ -27,8 +28,8 @@ pub struct TrainerConfig {
     pub meta_holdout_fraction: f64,
     /// Seed for the job split and model subsampling.
     pub seed: u64,
-    /// Number of OS threads the per-signature training loop uses.
-    /// `0` means "use [`std::thread::available_parallelism`]".  Training is
+    /// Number of OS threads the per-signature training loop uses
+    /// (`0` = every core; see [`par_map`]).  Training is
     /// deterministic regardless of this value: same seed ⇒ bit-identical
     /// predictor on 1 thread or N.
     pub threads: usize,
@@ -54,18 +55,6 @@ impl TrainerConfig {
         TrainerConfig {
             seed: self.seed ^ (epoch as u64).wrapping_mul(0x9E37_79B9_7F4A_7C15),
             ..*self
-        }
-    }
-
-    /// The effective thread count (resolves `threads == 0` to the machine's
-    /// available parallelism).
-    pub fn effective_threads(&self) -> usize {
-        if self.threads > 0 {
-            self.threads
-        } else {
-            std::thread::available_parallelism()
-                .map(|n| n.get())
-                .unwrap_or(1)
         }
     }
 }
@@ -147,7 +136,7 @@ impl CleoTrainer {
         let holdout = holdout.clamp(1, samples.len().saturating_sub(1).max(1));
         let (meta_split, base_split) = window.split_at(holdout);
         let meta_samples = meta_split.samples();
-        let threads = self.config.effective_threads();
+        let threads = self.config.threads;
         let families = ModelFamily::all();
 
         // Individual stores over the base split: every per-signature elastic net
@@ -167,9 +156,19 @@ impl CleoTrainer {
 
         // Meta-model over the held-out split, using the individual models' predictions
         // as meta-features.  The per-sample breakdowns are pure lookups, computed in
-        // order-preserving parallel chunks.
+        // parallel and returned in sample order.
         let interim = CleoPredictor::new(base_stores, CombinedModel::default());
-        let breakdowns = Self::holdout_breakdowns(&interim, meta_samples, threads);
+        let breakdowns = par_map(
+            meta_samples.iter().collect(),
+            threads,
+            || (),
+            |_, s| {
+                (
+                    interim.predict_from_parts(&s.signatures, &s.features),
+                    s.features.clone(),
+                )
+            },
+        );
         let targets: Vec<f64> = meta_samples.iter().map(|s| s.exclusive_seconds).collect();
         let combined = CombinedModel::train(&breakdowns, &targets, self.config.seed)?;
 
@@ -195,38 +194,6 @@ impl CleoTrainer {
             None,
         )?;
         Ok((CleoPredictor::new(final_stores, combined), warm_stats))
-    }
-
-    /// Compute the meta-model's training inputs: each held-out sample's individual
-    /// predictions.  Chunked across threads with in-order concatenation, so the
-    /// result is identical to the serial loop.
-    fn holdout_breakdowns(
-        interim: &CleoPredictor,
-        meta_samples: &[OperatorSample],
-        threads: usize,
-    ) -> Vec<(PredictionBreakdown, Vec<f64>)> {
-        let predict_one = |s: &OperatorSample| {
-            (
-                interim.predict_from_parts(&s.signatures, &s.features),
-                s.features.clone(),
-            )
-        };
-        let threads = threads.max(1).min(meta_samples.len().max(1));
-        if threads <= 1 {
-            return meta_samples.iter().map(predict_one).collect();
-        }
-        let chunk_size = meta_samples.len().div_ceil(threads);
-        let mut out = Vec::with_capacity(meta_samples.len());
-        std::thread::scope(|scope| {
-            let handles: Vec<_> = meta_samples
-                .chunks(chunk_size)
-                .map(|chunk| scope.spawn(move || chunk.iter().map(predict_one).collect::<Vec<_>>()))
-                .collect();
-            for handle in handles {
-                out.extend(handle.join().expect("breakdown worker panicked"));
-            }
-        });
-        out
     }
 }
 

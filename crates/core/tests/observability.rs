@@ -2,7 +2,9 @@
 //! never an influence on it.
 //!
 //! * metric totals and trace-event streams are identical for 1 pool worker or
-//!   N — logical sequence numbers, not wall clocks, order the trace;
+//!   N — logical sequence numbers, not wall clocks, order the trace — and a
+//!   batch optimization with a failing job routes the same jobs on 1 thread
+//!   or N;
 //! * an attached [`Obs`] handle must not perturb a single served plan
 //!   (bit-identical costs, clusters, and versions vs the disabled stack);
 //! * a scripted breaker scenario pins the exact event story — publish, trip,
@@ -252,6 +254,57 @@ fn metric_totals_and_event_stream_are_identical_for_1_vs_n_workers() {
     );
     assert_eq!(latency_1, 48, "one latency sample per completed request");
     assert_eq!(latency_1, latency_n);
+}
+
+#[test]
+fn optimize_all_routes_every_job_on_1_or_n_threads_when_one_fails() {
+    let run = |threads: usize| {
+        let obs = Arc::new(Obs::new());
+        let router = warm_router(Some(Arc::clone(&obs)));
+        let shared = SharedOptimizer::new(
+            Arc::clone(&router) as Arc<dyn CostModelProvider>,
+            OptimizerConfig::resource_aware(),
+        );
+        let jobs: Vec<Arc<JobSpec>> = (0..6u64)
+            .map(|i| {
+                let cluster = (i % 4) as u8;
+                if i == 1 {
+                    failing_job(2000 + i, cluster)
+                } else {
+                    job(2000 + i, cluster)
+                }
+            })
+            .collect();
+        let refs: Vec<&JobSpec> = jobs.iter().map(|j| j.as_ref()).collect();
+        let result = shared.optimize_all(&refs, threads);
+        assert!(
+            result.is_err(),
+            "threads={threads}: the failing job fails the batch"
+        );
+        let routes: Vec<TraceEvent> = obs
+            .trace()
+            .drain_sorted()
+            .into_iter()
+            .filter(|event| matches!(event, TraceEvent::Route { .. }))
+            .collect();
+        (router.routing_stats(), routes)
+    };
+
+    let (stats_1, routes_1) = run(1);
+    let (stats_n, routes_n) = run(3);
+    assert_eq!(
+        stats_1, stats_n,
+        "routing counters must not depend on the thread count"
+    );
+    assert_eq!(
+        stats_1.own_hits + stats_1.donor_hits + stats_1.fallback_hits,
+        6,
+        "every job is routed, the failing one included"
+    );
+    assert_eq!(
+        routes_1, routes_n,
+        "route events must not depend on the thread count"
+    );
 }
 
 // ---------------------------------------------------------------------------

@@ -123,11 +123,6 @@ impl Dataset {
         &self.feature_names
     }
 
-    /// A cheaply clonable handle to the shared feature-name table.
-    pub fn feature_names_shared(&self) -> Arc<[String]> {
-        Arc::clone(&self.feature_names)
-    }
-
     /// Mutable access to the flat row-major feature buffer (length
     /// `n_rows * n_cols`) — what the scaler's whole-dataset sweep rewrites in
     /// place.

@@ -28,8 +28,6 @@ pub struct OptimizerConfig {
     pub resource_planning: bool,
     /// Strategy used by the partition optimization pass.
     pub partition_exploration: PartitionExploration,
-    /// Maximum partition count considered.
-    pub max_partitions: usize,
 }
 
 impl Default for OptimizerConfig {
@@ -39,7 +37,6 @@ impl Default for OptimizerConfig {
             enable_local_aggregation: true,
             resource_planning: false,
             partition_exploration: PartitionExploration::None,
-            max_partitions: MAX_PARTITIONS,
         }
     }
 }
@@ -216,24 +213,22 @@ impl<'a> Optimizer<'a> {
         }
 
         let sample = |strategy, ops: &[&PhysicalNode]| {
-            let candidates = candidate_counts(strategy, self.config.max_partitions);
+            let candidates = candidate_counts(strategy, MAX_PARTITIONS);
             explore_stage_sampling(ops, &candidates, self.cost_model, &plan.meta)
         };
         let outcomes: Vec<Option<ExplorationOutcome>> = match self.config.partition_exploration {
-            PartitionExploration::Analytical => explore_stages_analytical(
-                &stage_ops,
-                self.cost_model,
-                &plan.meta,
-                self.config.max_partitions,
-            )
-            .into_iter()
-            .zip(&stage_ops)
-            .map(|(outcome, ops)| {
-                // A stage the cost model has no analytical form for falls
-                // back to geometric sampling.
-                outcome.or_else(|| sample(PartitionExploration::Geometric { skip: 2.0 }, ops))
-            })
-            .collect(),
+            PartitionExploration::Analytical => {
+                explore_stages_analytical(&stage_ops, self.cost_model, &plan.meta, MAX_PARTITIONS)
+                    .into_iter()
+                    .zip(&stage_ops)
+                    .map(|(outcome, ops)| {
+                        // A stage the cost model has no analytical form for falls
+                        // back to geometric sampling.
+                        outcome
+                            .or_else(|| sample(PartitionExploration::Geometric { skip: 2.0 }, ops))
+                    })
+                    .collect()
+            }
             strategy => stage_ops.iter().map(|ops| sample(strategy, ops)).collect(),
         };
 

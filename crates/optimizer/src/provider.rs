@@ -15,6 +15,7 @@
 
 use std::sync::Arc;
 
+use cleo_common::concurrency::par_map;
 use cleo_common::obs::Obs;
 use cleo_common::Result;
 use cleo_engine::physical::JobMeta;
@@ -294,48 +295,18 @@ impl SharedOptimizer {
         Ok(optimized)
     }
 
-    /// Optimize a batch of jobs, spreading them across `threads` OS threads
-    /// (`0` = all available cores).  Results are returned in job order regardless
-    /// of the thread schedule; each job snapshots the provider independently, so a
-    /// concurrent publish simply means later jobs see the newer version.
+    /// Optimize a batch of jobs on `threads` OS threads (`0` = every core,
+    /// via [`par_map`]; each worker keeps one [`SnapshotCache`]).  Every job
+    /// is optimized at every thread count and the results come back in job
+    /// order; on failure the first error in job order is returned.  Each job
+    /// snapshots the provider independently, so a concurrent publish simply
+    /// means later jobs see the newer version.
     pub fn optimize_all(&self, jobs: &[&JobSpec], threads: usize) -> Result<Vec<OptimizedPlan>> {
-        let threads = if threads == 0 {
-            std::thread::available_parallelism()
-                .map(|n| n.get())
-                .unwrap_or(1)
-        } else {
-            threads
-        }
-        .min(jobs.len().max(1));
-
-        if threads <= 1 {
-            let mut cache = SnapshotCache::new();
-            return jobs
-                .iter()
-                .map(|job| self.optimize_cached(job, &mut cache))
-                .collect();
-        }
-
-        let chunk_size = jobs.len().div_ceil(threads);
-        let mut out: Vec<Result<OptimizedPlan>> = Vec::with_capacity(jobs.len());
-        std::thread::scope(|scope| {
-            let handles: Vec<_> = jobs
-                .chunks(chunk_size)
-                .map(|chunk| {
-                    scope.spawn(move || {
-                        let mut cache = SnapshotCache::new();
-                        chunk
-                            .iter()
-                            .map(|job| self.optimize_cached(job, &mut cache))
-                            .collect::<Vec<_>>()
-                    })
-                })
-                .collect();
-            for handle in handles {
-                out.extend(handle.join().expect("optimizer worker panicked"));
-            }
-        });
-        out.into_iter().collect()
+        par_map(jobs.to_vec(), threads, SnapshotCache::new, |cache, job| {
+            self.optimize_cached(job, cache)
+        })
+        .into_iter()
+        .collect()
     }
 }
 
