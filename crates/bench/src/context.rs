@@ -31,53 +31,6 @@ use cleo_optimizer::{
 
 use cleo_common::Result;
 
-/// Environment metadata every `BENCH_*.json` result records: the honest core
-/// count, a `degraded` flag when the machine has fewer cores than the bench's
-/// topology assumes, the SIMD ISA the inference kernels dispatched to, and a
-/// capture timestamp.  One helper instead of a copy of this block in every
-/// bench binary, so the fields (and their JSON spelling) cannot drift apart.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct BenchMeta {
-    /// `std::thread::available_parallelism()` (1 when unknown).
-    pub cores: usize,
-    /// True when `cores` is below the bench's assumed minimum — throughput
-    /// numbers then measure timeslicing, not the real topology.
-    pub degraded: bool,
-    /// The SIMD instruction set the mlkit kernels dispatched to.
-    pub simd: &'static str,
-    /// Seconds since the Unix epoch at capture (0 if the clock is unset).
-    pub timestamp_unix: u64,
-}
-
-impl BenchMeta {
-    /// Capture the environment; `min_cores` is the core count the bench's
-    /// shard/worker topology assumes (below it `degraded` is set).
-    pub fn capture(min_cores: usize) -> BenchMeta {
-        let cores = std::thread::available_parallelism()
-            .map(|n| n.get())
-            .unwrap_or(1);
-        BenchMeta {
-            cores,
-            degraded: cores < min_cores,
-            simd: cleo_mlkit::simd::isa_name(),
-            timestamp_unix: std::time::SystemTime::now()
-                .duration_since(std::time::UNIX_EPOCH)
-                .map(|d| d.as_secs())
-                .unwrap_or(0),
-        }
-    }
-
-    /// The shared fields as a JSON fragment (no surrounding braces, two-space
-    /// indent, no trailing comma), ready to splice into a bench's hand-built
-    /// result object.
-    pub fn json_fields(&self) -> String {
-        format!(
-            "\"cores\": {},\n  \"degraded\": {},\n  \"simd\": \"{}\",\n  \"timestamp_unix\": {}",
-            self.cores, self.degraded, self.simd, self.timestamp_unix
-        )
-    }
-}
-
 /// How large a workload the experiments run on.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum Scale {

@@ -2,9 +2,10 @@
 //!
 //! Each runner consumes the shared [`ExperimentContext`] and returns the
 //! reproduced table/series as rendered text (the `repro` binary prints
-//! it and writes CSV copies under `target/experiments/`).  The experiment ids match
-//! the per-experiment index in `DESIGN.md` and the paper-vs-measured log in
-//! `EXPERIMENTS.md`.
+//! it and writes a copy to `target/experiments/<id>.txt`).  The experiment ids
+//! are the paper's figure and table numbers, plus `overheads` and four
+//! runners of this reproduction's own (`feedback_loop`, `sharded_serving`,
+//! `chaos`, `scenario`).
 
 pub mod accuracy;
 pub mod chaos;

@@ -17,8 +17,8 @@
 //!
 //! Each decision window is `after <= index < horizon`.  The `horizon` bound is
 //! what makes recovery measurable: after the last scheduled fault the system
-//! must return to fault-free behavior, and a bench can assert goodput
-//! recovers.  The `after` bound lets a test target a specific victim (e.g.
+//! must return to fault-free behavior, and a test can assert that it
+//! does.  The `after` bound lets a test target a specific victim (e.g.
 //! "only the publish of version 2 regresses").
 
 use std::sync::Arc;
@@ -63,9 +63,8 @@ impl FaultSite {
 
 /// A deterministic schedule of injectable faults (see the module docs).
 ///
-/// All fields are public so tests and benches can describe exactly the
-/// scenario they need; [`FaultPlan::chaos`] is the standard mixed plan the
-/// chaos suite and `BENCH_chaos.json` use.
+/// All fields are public so tests can describe exactly the scenario they
+/// need; [`FaultPlan::chaos`] is the standard mixed plan.
 #[derive(Debug, Clone, PartialEq)]
 pub struct FaultPlan {
     /// Seed all per-site decisions derive from.
@@ -113,9 +112,11 @@ impl FaultPlan {
         }
     }
 
-    /// The standard mixed chaos plan used by the chaos suite and bench:
-    /// occasional worker panics and stalls, a few poisoned records, one shard
-    /// round in ~four panicking, all within the given horizon.
+    /// The standard mixed chaos plan: occasional worker panics and stalls, a
+    /// few poisoned records, one shard round in ~four panicking, all within
+    /// the given horizon.  The chaos suite (`crates/core/tests/chaos.rs`)
+    /// sends a front-door stream through a pool under it and checks that no
+    /// request is lost and that the pool serves everything past the horizon.
     pub fn chaos(seed: u64, horizon: u64) -> Self {
         FaultPlan {
             seed,

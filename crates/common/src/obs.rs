@@ -32,7 +32,7 @@
 //! to the enabled path in every serving result.
 //!
 //! Metric and event names are lowercase dotted identifiers (`[a-z0-9_.]`),
-//! which keeps the JSON exporter escape-free.
+//! which keeps the NDJSON trace exporter escape-free.
 
 use std::collections::BTreeMap;
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -811,36 +811,6 @@ impl MetricsSnapshot {
         }
         table.render()
     }
-
-    /// Compact single-line JSON object (metric names are restricted to
-    /// `[a-z0-9_.]`, so no escaping is needed).  Embedded verbatim into the
-    /// `"metrics"` field of every `BENCH_*.json`.
-    pub fn to_json(&self) -> String {
-        use std::fmt::Write as _;
-        let mut out = String::from("{\"counters\": {");
-        for (i, (name, v)) in self.counters.iter().enumerate() {
-            let sep = if i == 0 { "" } else { ", " };
-            write!(out, "{sep}\"{name}\": {v}").expect("write to String");
-        }
-        out.push_str("}, \"gauges\": {");
-        for (i, (name, v)) in self.gauges.iter().enumerate() {
-            let sep = if i == 0 { "" } else { ", " };
-            write!(out, "{sep}\"{name}\": {v}").expect("write to String");
-        }
-        out.push_str("}, \"histograms\": {");
-        for (i, (name, h)) in self.histograms.iter().enumerate() {
-            let sep = if i == 0 { "" } else { ", " };
-            write!(
-                out,
-                "{sep}\"{name}\": {{\"count\": {}, \"sum_ns\": {}, \"p50_ns\": {}, \
-                 \"p95_ns\": {}, \"p99_ns\": {}, \"max_ns\": {}}}",
-                h.count, h.sum_nanos, h.p50_nanos, h.p95_nanos, h.p99_nanos, h.max_nanos
-            )
-            .expect("write to String");
-        }
-        out.push_str("}}");
-        out
-    }
 }
 
 // ---------------------------------------------------------------------------
@@ -1007,10 +977,6 @@ mod tests {
         // Sections are name-sorted (BTreeMap order) for stable exports.
         assert!(snap.counters.windows(2).all(|w| w[0].0 < w[1].0));
 
-        let json = snap.to_json();
-        assert!(json.starts_with("{\"counters\": {"));
-        assert!(json.contains("\"pool.worker_panics\": 8"));
-        assert!(json.contains("\"p50_ns\": 100"));
         let table = snap.render();
         assert!(table.contains("router.own_hits"));
         assert!(table.contains("histogram"));

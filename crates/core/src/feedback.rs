@@ -283,14 +283,6 @@ impl FeedbackLoop {
         self.provider.registry()
     }
 
-    /// Attach an observability handle to the loop's registry: publish,
-    /// rollback, and watchdog trace events for this single-cluster loop are
-    /// labelled with [`cleo_common::obs::NO_CLUSTER`] (there is no shard).
-    pub fn attach_obs(&self, obs: Arc<cleo_common::obs::Obs>) {
-        self.registry()
-            .attach_obs(obs, cleo_common::obs::NO_CLUSTER);
-    }
-
     /// The provider concurrent optimizers serve from (shared with the loop, so a
     /// publish by [`FeedbackLoop::run_epoch`] is immediately visible to external
     /// serving paths holding this handle).

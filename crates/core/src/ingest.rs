@@ -33,7 +33,7 @@ pub enum WireFormat {
 }
 
 impl WireFormat {
-    /// Stable lowercase name (used in bench/report output).
+    /// Stable lowercase name (used in report output).
     pub fn name(&self) -> &'static str {
         match self {
             WireFormat::Ndjson => "ndjson",

@@ -252,9 +252,6 @@ struct PredictionCache {
     /// held for nanoseconds even on hot sweeps.
     shards: Vec<Mutex<HashMap<u64, CachedCosts>>>,
     per_shard_capacity: usize,
-    /// Arc-held so a metrics registry can adopt the very counters the cache
-    /// increments (single source of truth — see
-    /// [`LearnedCostModel::register_metrics`]).
     hits: Arc<StripedCounter>,
     misses: Arc<StripedCounter>,
 }
@@ -368,8 +365,7 @@ pub struct LearnedCostModel {
     /// analysis).  Striped: the count is bumped on *every* cost evaluation, so
     /// a single shared atomic would be the hottest cacheline in a concurrent
     /// serve — each thread increments its own stripe instead and totals are
-    /// summed on read.  Arc-held so a metrics registry can adopt it (see
-    /// [`LearnedCostModel::register_metrics`]).
+    /// summed on read.
     invocations: Arc<StripedCounter>,
     /// Signature-keyed memo of combined predictions (`None` = caching disabled).
     /// Behind an [`Arc`] so a delta-published successor model can keep serving
@@ -395,8 +391,9 @@ impl LearnedCostModel {
         }
     }
 
-    /// Wrap a predictor with the prediction cache disabled (baseline for the
-    /// cache microbenchmarks).
+    /// Wrap a predictor with the prediction cache disabled: every invocation
+    /// runs the full prediction stack (the uncached reference the equivalence
+    /// tests and the publish guard's candidate scoring use).
     pub fn without_cache(predictor: impl Into<Arc<CleoPredictor>>) -> Self {
         Self::with_cache_capacity(predictor, 0)
     }
@@ -421,19 +418,6 @@ impl LearnedCostModel {
         match (&self.cache, &other.cache) {
             (Some(a), Some(b)) => Arc::ptr_eq(a, b),
             _ => false,
-        }
-    }
-
-    /// Adopt this model's live counters into a metrics registry under
-    /// `{prefix}.invocations`, `{prefix}.cache_hits`, `{prefix}.cache_misses`.
-    /// The registry snapshots the *same* stripes the hot path increments —
-    /// no duplicated accounting, no extra work per cost evaluation.  Cache
-    /// counters are skipped when caching is disabled.
-    pub fn register_metrics(&self, metrics: &cleo_common::obs::MetricsRegistry, prefix: &str) {
-        metrics.register_counter(&format!("{prefix}.invocations"), &self.invocations);
-        if let Some(cache) = &self.cache {
-            metrics.register_counter(&format!("{prefix}.cache_hits"), &cache.hits);
-            metrics.register_counter(&format!("{prefix}.cache_misses"), &cache.misses);
         }
     }
 

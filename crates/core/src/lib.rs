@@ -37,8 +37,7 @@
 //! * [`scenario`] — the workload-scenario DSL: declarative suites (drift
 //!   ramps, flash crowds, tenant arrival/churn, adversarial signature floods,
 //!   cold-start storms) compiled into deterministic, seeded multi-cluster job
-//!   streams for the experiment runners, the chaos bench, and the
-//!   integration tests,
+//!   streams for the experiment runners and the integration tests,
 //! * [`snapshot_io`] — durable model snapshots: the `CMS1` on-disk format
 //!   behind [`registry::ModelRegistry::save_snapshot`] /
 //!   [`registry::ModelRegistry::load_snapshot`] and the sharded fleet
@@ -119,8 +118,8 @@ pub use registry::{
 };
 pub use scenario::{CompiledSuite, ScenarioSuite};
 pub use serving::{
-    open_loop_arrivals, serve_batch, Admission, CompletedRequest, DrainReport, FrontDoor,
-    FrontDoorConfig, FrontDoorStats, OverloadPolicy,
+    serve_batch, Admission, CompletedRequest, DrainReport, FrontDoor, FrontDoorConfig,
+    FrontDoorStats, OverloadPolicy,
 };
 pub use sharding::{
     BatchResult, BreakerPolicy, BreakerState, BreakerTransition, ClusterRouter, RegistryShard,

@@ -1,10 +1,10 @@
 //! The workload-scenario DSL: declarative serving scenarios compiled into
 //! deterministic multi-cluster job streams.
 //!
-//! The experiment runners, the chaos bench, and the integration tests all
-//! need the same handful of workload shapes — drift ramps, flash crowds,
-//! tenants arriving and churning, adversarial floods of never-seen
-//! signatures, cold-start storms — and hand-assembling them from
+//! The experiment runners and the integration tests all need the same
+//! handful of workload shapes — drift ramps, flash crowds, tenants arriving
+//! and churning, adversarial floods of never-seen signatures, cold-start
+//! storms — and hand-assembling them from
 //! [`generate_cluster_workload`] calls scatters the shape of each experiment
 //! across imperative setup code.  A scenario *suite* states the shape
 //! declaratively instead:
@@ -657,8 +657,8 @@ fn synthetic_burst(
 // Canned suites
 // ---------------------------------------------------------------------------
 
-/// Ready-made suites shared by the bench harnesses, experiment runners, and
-/// integration tests.
+/// Ready-made suites shared by the experiment runners and the integration
+/// tests.
 pub mod suites {
     /// Fleet stress: four tenants exercising every directive — a drift ramp,
     /// a flash crowd, a churning tenant, an adversarial signature flood, and

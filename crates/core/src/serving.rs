@@ -4,7 +4,7 @@
 //! The sharded tier of [`crate::sharding`] made *where* a job is served
 //! contention-free; this module makes *how* requests reach the workers
 //! realistic.  An open-loop arrival process (requests arrive on their own
-//! schedule, whether or not the system keeps up — see [`open_loop_arrivals`])
+//! schedule, whether or not the system keeps up)
 //! feeds a [`FrontDoor`]: each request is admitted against a bounded per-shard
 //! queue ([`FrontDoorConfig::max_queue_depth`]), shed or flagged as delayed
 //! past the bound ([`OverloadPolicy`]), and handed to the pool.
@@ -41,7 +41,6 @@ use std::sync::Arc;
 use std::time::{Duration, Instant};
 
 use cleo_common::obs::{self, Obs, TraceEvent};
-use cleo_common::rng::DetRng;
 use cleo_common::{CleoError, Result};
 use cleo_engine::workload::JobSpec;
 use cleo_optimizer::{OptimizedPlan, SharedOptimizer, SnapshotCache};
@@ -530,48 +529,9 @@ impl FrontDoor {
     }
 }
 
-/// Deterministic open-loop arrival schedule: `n` absolute arrival offsets (in
-/// seconds from the stream start) with exponentially distributed
-/// inter-arrival times at `rate_per_sec` — a Poisson arrival process, the
-/// standard open-loop load model.  A pure function of the seed, so two bench
-/// runs (or two machines) replay the identical schedule.
-pub fn open_loop_arrivals(seed: u64, rate_per_sec: f64, n: usize) -> Vec<f64> {
-    assert!(rate_per_sec > 0.0, "arrival rate must be positive");
-    let mut rng = DetRng::new(seed);
-    let mut t = 0.0f64;
-    (0..n)
-        .map(|_| {
-            // 1 - unit() is in (0, 1]: ln never sees zero.
-            t += -(1.0 - rng.unit()).ln() / rate_per_sec;
-            t
-        })
-        .collect()
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn arrivals_are_deterministic_increasing_and_rate_scaled() {
-        let a = open_loop_arrivals(7, 100.0, 500);
-        let b = open_loop_arrivals(7, 100.0, 500);
-        assert_eq!(a.len(), 500);
-        for (x, y) in a.iter().zip(&b) {
-            assert_eq!(x.to_bits(), y.to_bits(), "same seed, same schedule");
-        }
-        assert!(a.windows(2).all(|w| w[1] > w[0]), "strictly increasing");
-        // Mean inter-arrival ≈ 1/rate: the 500-sample mean should land within
-        // a loose factor-of-2 band.
-        let mean = a.last().unwrap() / 500.0;
-        assert!(
-            (0.005..0.02).contains(&mean),
-            "mean inter-arrival {mean} at rate 100"
-        );
-        // A different seed produces a different schedule.
-        let c = open_loop_arrivals(8, 100.0, 500);
-        assert!(a.iter().zip(&c).any(|(x, y)| x != y));
-    }
 
     #[test]
     fn front_door_stats_rates() {

@@ -10,6 +10,9 @@
 //!   fault-free goodput past the plan's horizon;
 //! * the front door bounds every request with deadlines and retry budgets,
 //!   with exact `retried`/`expired`/`errored` accounting;
+//! * under the mixed [`FaultPlan::chaos`] plan, every request offered to the
+//!   front door resolves exactly once (ok + expired + errored + shed ==
+//!   offered), and the same pool serves the whole stream past the horizon;
 //! * per-shard circuit breakers trip to the donor chain and probe back
 //!   half-open, with a transition sequence that is identical for 1 or N
 //!   workers;
@@ -38,7 +41,7 @@ use cleo_core::ingest::{
 };
 use cleo_core::models::{CleoPredictor, CombinedModel, ModelStore, OperatorSample};
 use cleo_core::registry::HoldoutMetrics;
-use cleo_core::serving::{FrontDoor, FrontDoorConfig};
+use cleo_core::serving::{FrontDoor, FrontDoorConfig, OverloadPolicy};
 use cleo_core::sharding::{
     BreakerPolicy, BreakerState, ClusterRouter, ServingPool, ShardedRegistry,
 };
@@ -424,6 +427,70 @@ fn front_door_retry_recovers_a_transiently_dead_worker() {
         "retry served the request"
     );
     assert_eq!(pool.worker_error_tasks(), 1);
+}
+
+/// One pass of `requests` through a fresh front door over `pool`, checking
+/// that every offered request resolves exactly once.  Returns
+/// `(ok, retried)`.
+fn zero_loss_pass(
+    pool: &Arc<ServingPool>,
+    requests: &[Arc<JobSpec>],
+    config: FrontDoorConfig,
+) -> (u64, u64) {
+    let mut door = FrontDoor::new(Arc::clone(pool), config);
+    for job in requests {
+        door.offer(Arc::clone(job));
+    }
+    let report = door.drain_report();
+    let stats = report.stats;
+    let ok = report.completed.iter().filter(|c| c.result.is_ok()).count() as u64;
+    assert_eq!(stats.offered(), requests.len() as u64);
+    assert_eq!(
+        report.completed.len() as u64,
+        stats.admitted + stats.delayed,
+        "every admitted request resolved"
+    );
+    assert_eq!(
+        ok + stats.expired + stats.errored + stats.shed,
+        stats.offered(),
+        "zero-loss accounting: ok + expired + errored + shed == offered"
+    );
+    (ok, stats.retried)
+}
+
+#[test]
+fn chaos_plan_loses_no_request_and_serves_all_past_its_horizon() {
+    const REQUESTS: u64 = 60;
+    let router = warm_router_with(None);
+    // Round-robin over the four clusters; coalesce_max 1 keys the pool's
+    // task sequence one to one with requests, and the 10 s deadline bounds
+    // stalled tasks without spurious expiries.
+    let requests: Vec<Arc<JobSpec>> = (0..REQUESTS).map(|i| job(600 + i, (i % 4) as u8)).collect();
+    let config = FrontDoorConfig {
+        max_queue_depth: 256,
+        policy: OverloadPolicy::Shed,
+        coalesce_max: 1,
+        deadline: Some(Duration::from_secs(10)),
+        max_retries: 2,
+        retry_backoff: Duration::from_micros(500),
+    };
+    let pool = Arc::new(ServingPool::with_faults(
+        shared_over(&router),
+        4,
+        4,
+        FaultPlan::chaos(0xC1E0, REQUESTS).handle(),
+    ));
+
+    let (_, retried) = zero_loss_pass(&pool, &requests, config);
+    assert!(retried > 0, "the plan's faults force resubmits");
+    wait_until(|| pool.worker_panics() > 0);
+    assert!(pool.worker_panics() > 0, "the plan panics workers");
+
+    // Every task sequence of the second pass is past the horizon: no fault
+    // fires, so nothing is retried, and the same pool serves the whole stream.
+    let (ok, retried) = zero_loss_pass(&pool, &requests, config);
+    assert_eq!(retried, 0, "no fault fires past the horizon");
+    assert_eq!(ok, REQUESTS, "past the horizon every request serves");
 }
 
 // ---------------------------------------------------------------------------

@@ -4,8 +4,7 @@
 //! local semantics; this suite pins the cross-layer contracts:
 //!
 //! * the canned suites compile, and compilation is **bit-identical for any
-//!   thread count** (the determinism the chaos bench and experiment runners
-//!   rely on);
+//!   thread count** (the determinism the experiment runners rely on);
 //! * a compiled suite's stream drives a sharded fleet end to end — including
 //!   the cold-start tenant that exists only through a `coldstart` directive;
 //! * malformed input is refused with span-exact parse errors, never panics.

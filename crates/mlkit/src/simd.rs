@@ -33,8 +33,8 @@
 //! autovectorises for whatever target it compiles on — and stays the reference
 //! the AVX2 arm must match bit for bit.  Setting the `CLEO_FORCE_SCALAR`
 //! environment variable (to anything but `0` or empty) pins the scalar arm, so
-//! CI exercises both paths on the same hardware.  Benches report the dispatched
-//! arm through [`isa_name`].
+//! CI exercises both paths on the same hardware.  cleobench reports the
+//! dispatched arm through [`isa_name`].
 
 use std::cell::Cell;
 use std::sync::OnceLock;
@@ -74,7 +74,7 @@ impl Isa {
         }
     }
 
-    /// The name benches record in their JSON (`simd` field).
+    /// The arm's lowercase name: `avx512`, `avx2` or `scalar`.
     pub fn name(self) -> &'static str {
         match self {
             Isa::Scalar => "scalar",
@@ -101,7 +101,8 @@ pub fn active_isa() -> Isa {
     })
 }
 
-/// The dispatched arm's name — what bench JSON records as `simd`.
+/// The dispatched arm's name — what cleobench prints after `simd` in each
+/// workload's header line.
 pub fn isa_name() -> &'static str {
     active_isa().name()
 }
