@@ -41,7 +41,7 @@ use cleo_core::ingest::{
 };
 use cleo_core::models::{CleoPredictor, CombinedModel, ModelStore, OperatorSample};
 use cleo_core::registry::HoldoutMetrics;
-use cleo_core::serving::{FrontDoor, FrontDoorConfig, OverloadPolicy};
+use cleo_core::serving::{FrontDoor, FrontDoorConfig};
 use cleo_core::sharding::{
     BreakerPolicy, BreakerState, ClusterRouter, ServingPool, ShardedRegistry,
 };
@@ -468,11 +468,11 @@ fn chaos_plan_loses_no_request_and_serves_all_past_its_horizon() {
     let requests: Vec<Arc<JobSpec>> = (0..REQUESTS).map(|i| job(600 + i, (i % 4) as u8)).collect();
     let config = FrontDoorConfig {
         max_queue_depth: 256,
-        policy: OverloadPolicy::Shed,
         coalesce_max: 1,
         deadline: Some(Duration::from_secs(10)),
         max_retries: 2,
         retry_backoff: Duration::from_micros(500),
+        ..FrontDoorConfig::default()
     };
     let pool = Arc::new(ServingPool::with_faults(
         shared_over(&router),
